@@ -19,9 +19,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import basis_operator as bop
-from . import fourier, regularity, thresholds
+from . import core, fourier, regularity, thresholds
 from .config import DEFAULT_CONFIG, EvalConfig
-from .core import PExponent, cos_p, exp_p, incomplete_F, sin_p, u_p, v_p
 from .errors import ConvergenceError, DomainError
 
 EXIT_OK = 0
@@ -122,28 +121,28 @@ def _grid(args) -> np.ndarray:
     return np.linspace(args.x_min, args.x_max, args.x_num)
 
 
-_EVAL_FNS = ("sin_p", "cos_p", "exp_p", "F_p", "u_p", "v_p")
+# CLI name -> function in ptrig.core, looked up by name at call time so
+# that a wrapper installed on the module after import sees the call
+_EVAL_FNS = {
+    "sin_p": "sin_p",
+    "cos_p": "cos_p",
+    "exp_p": "exp_p",
+    "F_p": "incomplete_F",
+    "u_p": "u_p",
+    "v_p": "v_p",
+}
 
 
 def _cmd_eval(args, cfg, stamp):
     xs = _grid(args)
+    values = getattr(core, _EVAL_FNS[args.fn])(xs, args.p, cfg)
     records = []
-    for x in xs:
-        x = float(x)
-        params = {"fn": args.fn, "p": args.p, "x": x}
-        if args.fn == "sin_p":
-            results = {"value": float(sin_p(x, args.p, cfg))}
-        elif args.fn == "cos_p":
-            results = {"value": float(cos_p(x, args.p, cfg))}
-        elif args.fn == "exp_p":
-            z = exp_p(x, args.p, cfg)
-            results = {"value_re": z.real, "value_im": z.imag}
-        elif args.fn == "F_p":
-            results = {"value": float(incomplete_F(x, args.p, cfg))}
-        elif args.fn == "u_p":
-            results = {"value": float(u_p(x, args.p, cfg))}
+    for x, value in zip(xs, values):
+        params = {"fn": args.fn, "p": args.p, "x": float(x)}
+        if args.fn == "exp_p":
+            results = {"value_re": float(value.real), "value_im": float(value.imag)}
         else:
-            results = {"value": float(v_p(x, args.p, cfg))}
+            results = {"value": float(value)}
         records.append(_record("eval", params, results, cfg, stamp))
     return records
 
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         if hasattr(args, "p"):
-            PExponent.of(args.p)
+            core.PExponent.of(args.p)
         stamp = _timestamp(args.timestamp)
         records = args.func(args, cfg, stamp)
         _write(records, args)

@@ -18,6 +18,7 @@ there are no trigonometric shortcuts for p != 2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,10 +30,28 @@ from .errors import ConvergenceError, DomainError
 _EPS = float(np.finfo(float).eps)
 
 
+def check_exponent(p, name: str, lo: float = 1.0, hi: float = math.inf, var: str = "p") -> float:
+    """p as a float, if it is a finite real number (not bool or str) with lo < p < hi.
+
+    Otherwise raises DomainError naming the caller and its range, e.g.
+    "v_p requires p > 2".
+    """
+    try:
+        value = float(p) if isinstance(p, numbers.Real) and not isinstance(p, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not (math.isfinite(value) and lo < value < hi):
+        bounds = f"{var} > {lo:g}" if hi == math.inf else f"{lo:g} < {var} < {hi:g}"
+        raise DomainError(
+            f"{name} requires {bounds}; {var} must be a finite real number in that range, "
+            f"got {p!r}"
+        )
+    return value
+
+
 def pi_p(p: float) -> float:
     """Half-period scale 2*pi / (p * sin(pi/p)); pi_2 = pi."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1):
-        raise DomainError(f"p must be a finite real > 1, got {p!r}")
+    p = check_exponent(p, "pi_p")
     return 2.0 * math.pi / (p * math.sin(math.pi / p))
 
 
@@ -45,9 +64,7 @@ class PExponent:
     pi_p: float
 
     def __init__(self, p: float):
-        value = float(p)
-        if not (math.isfinite(value) and value > 1.0):
-            raise DomainError(f"p must be a finite real > 1, got {p!r}")
+        value = check_exponent(p, "PExponent")
         object.__setattr__(self, "p", value)
         object.__setattr__(self, "p_conj", value / (value - 1.0))
         object.__setattr__(self, "pi_p", pi_p(value))
@@ -136,12 +153,14 @@ def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol, max_levels):
 
     Each element freezes at its own first converged refinement level, so
     the result at a given y is bitwise independent of the rest of the
-    batch (callers may partition work arbitrarily).
+    batch (callers may partition work arbitrarily).  F_p(1) is pi_p/2 by
+    the definition pi_p = 2 F_p(1); only y in (0, 1) is integrated, which
+    keeps the tanh-sinh nodes off the singular endpoint.
     """
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
+    out = np.where(y == 1.0, pexp.quarter, 0.0)
     err = np.zeros_like(y)
-    live = y > 0.0
+    live = (y > 0.0) & (y < 1.0)
     if not live.any():
         return out, err
     yl = y[live]
@@ -236,7 +255,7 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None):
     cfg = config or DEFAULT_CONFIG
     u = np.asarray(u, dtype=float)
     u_star = pexp.quarter
-    if np.any(u < -1e-15) or np.any(u > u_star * (1.0 + 1e-13)):
+    if not np.all((u >= -1e-15) & (u <= u_star * (1.0 + 1e-13))):
         raise DomainError("inversion argument outside [0, pi_p/2]")
     p = pexp.p
     y = np.clip(np.sin(np.pi * u / pexp.pi_p), 0.0, 1.0)
@@ -345,31 +364,36 @@ def incomplete_F(y, p, config: EvalConfig | None = None):
     pexp = PExponent.of(p)
     cfg = config or DEFAULT_CONFIG
     arr, scalar = _as_batch(y)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError(f"incomplete_F requires 0 <= y <= 1, got {y!r}")
+    bad = arr[~((arr >= 0.0) & (arr <= 1.0))]
+    if bad.size:
+        raise DomainError(f"incomplete_F requires 0 <= y <= 1, got {float(bad[0])!r}")
     vals, _ = _incomplete_F_batch(arr, pexp, cfg.rel_tol, cfg.abs_tol, cfg.quad_levels)
     return _scalar_or_array(vals, scalar)
+
+
+def _reduce_and_invert(x, pexp: PExponent, config: EvalConfig | None, name: str):
+    """|sin_p(x)| with the sine and cosine signs of x's quadrant.
+
+    Returns (y, sin_sign, cos_sign, scalar); non-finite x is rejected.
+    """
+    arr, scalar = _as_batch(x)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} requires finite arguments")
+    t, s_sign, c_sign = reduce_argument(arr / pexp.pi_p)
+    return invert_quarter(pexp.pi_p * t, pexp, config), s_sign, c_sign, scalar
 
 
 def sin_p(x, p, config: EvalConfig | None = None):
     """The p-sine: odd, 2*pi_p periodic, increasing on [0, pi_p/2]."""
     pexp = PExponent.of(p)
-    arr, scalar = _as_batch(x)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sin_p requires finite arguments")
-    t, s_sign, _ = reduce_argument(arr / pexp.pi_p)
-    y = invert_quarter(pexp.pi_p * t, pexp, config)
+    y, s_sign, _, scalar = _reduce_and_invert(x, pexp, config, "sin_p")
     return _scalar_or_array(s_sign * y, scalar)
 
 
 def cos_p(x, p, config: EvalConfig | None = None):
     """The p-cosine sign(quadrant) * (1 - |sin_p|^p)^(1/p); even, 2*pi_p periodic."""
     pexp = PExponent.of(p)
-    arr, scalar = _as_batch(x)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("cos_p requires finite arguments")
-    t, _, c_sign = reduce_argument(arr / pexp.pi_p)
-    y = invert_quarter(pexp.pi_p * t, pexp, config)
+    y, _, c_sign, scalar = _reduce_and_invert(x, pexp, config, "cos_p")
     return _scalar_or_array(c_sign * _cos_from_y(y, pexp.p), scalar)
 
 
@@ -416,8 +440,7 @@ def c_p(p: float) -> float:
 
     Continuous with limit 1 at both ends under the convention 0^0 = 1.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and 1.0 < p < 2.0):
-        raise DomainError(f"c_p requires 1 < p < 2, got {p!r}")
+    p = check_exponent(p, "c_p", 1.0, 2.0)
     a = p - 1.0
     b = 2.0 - p
     first = math.exp((a / p) * math.log(a)) if a > 0 else 1.0
@@ -428,45 +451,24 @@ def c_p(p: float) -> float:
 def m_p(p: float, config: EvalConfig | None = None) -> float:
     """Unique point in (0, 1/2) where cos_p(pi_p m)^p = 2 - p, for 1 < p < 2.
 
-    Found by bisection on the decreasing map x -> cos_p(pi_p x)^p - (2-p)
-    to absolute tolerance 1e-12; the rescaled derivative attains its
-    minimum -c_p there.
+    There sin_p(pi_p m)^p = p - 1, so m = F_p((p-1)^(1/p)) / pi_p in
+    closed form; the rescaled derivative attains its minimum -c_p there.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and 1.0 < p < 2.0):
-        raise DomainError(f"m_p requires 1 < p < 2, got {p!r}")
-    pexp = PExponent(p)
-    target = 2.0 - p
-
-    def shifted(x):
-        y = invert_quarter(np.array([pexp.pi_p * x]), pexp, config)
-        return float(_one_minus_y_pow_p(y, p)[0]) - target
-
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if shifted(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    pexp = PExponent(check_exponent(p, "m_p", 1.0, 2.0))
+    return incomplete_F((pexp.p - 1.0) ** (1.0 / pexp.p), pexp, config) / pexp.pi_p
 
 
 def u_p(x, p: float, config: EvalConfig | None = None):
     """Rescaled derivative -sin_p(pi_p x)^(p-1) cos_p(pi_p x)^(2-p) on [0, 1/2].
 
     Defined for 1 < p < 2; nonpositive, vanishing exactly at 0 and 1/2,
-    with minimum -c_p at m_p.
+    with minimum -c_p at m_p.  Equals dcos_p(pi_p x).
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and 1.0 < p < 2.0):
-        raise DomainError(f"u_p requires 1 < p < 2, got {p!r}")
-    pexp = PExponent(p)
+    pexp = PExponent(check_exponent(p, "u_p", 1.0, 2.0))
     arr, scalar = _as_batch(x)
     if np.any(arr < 0.0) or np.any(arr > 0.5):
         raise DomainError("u_p requires 0 <= x <= 1/2")
-    y = invert_quarter(pexp.pi_p * arr, pexp, config)
-    c = _cos_from_y(y, p)
-    vals = -(y ** (p - 1.0)) * c ** (2.0 - p)
-    return _scalar_or_array(vals, scalar)
+    return _scalar_or_array(dcos_p(pexp.pi_p * arr, pexp, config), scalar)
 
 
 def v_p(x, p: float, config: EvalConfig | None = None):
@@ -475,9 +477,7 @@ def v_p(x, p: float, config: EvalConfig | None = None):
     Defined for p > 2 on (0, 1/2]; positive, strictly decreasing, zero at
     x = 1/2, divergent as x -> 0+ (which is rejected).
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 2.0):
-        raise DomainError(f"v_p requires p > 2, got {p!r}")
-    conj = PExponent(p).conjugate
+    conj = PExponent(check_exponent(p, "v_p", 2.0)).conjugate
     arr, scalar = _as_batch(x)
     if np.any(arr <= 0.0) or np.any(arr > 0.5):
         raise DomainError("v_p requires 0 < x <= 1/2 (diverges at 0)")
@@ -491,8 +491,6 @@ def v_p(x, p: float, config: EvalConfig | None = None):
 def exp_p(y, p, config: EvalConfig | None = None):
     """cos_p(y) + i sin_p(y); the modulus identity |Re|^p + |Im|^p = 1 holds."""
     pexp = PExponent.of(p)
-    arr, scalar = _as_batch(y)
-    t, s_sign, c_sign = reduce_argument(arr / pexp.pi_p)
-    s = invert_quarter(pexp.pi_p * t, pexp, config)
+    s, s_sign, c_sign, scalar = _reduce_and_invert(y, pexp, config, "exp_p")
     vals = c_sign * _cos_from_y(s, pexp.p) + 1j * (s_sign * s)
     return complex(vals[0]) if scalar else vals

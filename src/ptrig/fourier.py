@@ -27,7 +27,7 @@ import numpy as np
 
 from ._fast_eval import fast_trig
 from .config import DEFAULT_CONFIG, EvalConfig
-from .core import PExponent, c_p, pi_p
+from .core import PExponent, c_p, check_exponent, pi_p
 from .errors import DomainError
 from .quadrature import integrate_panels
 from .thresholds import odd_reciprocal_sum
@@ -65,11 +65,6 @@ class CriterionReport:
     holds: bool
 
 
-def _tolerances(config: EvalConfig | None):
-    cfg = config or DEFAULT_CONFIG
-    return cfg, cfg.rel_tol
-
-
 def _aligned_edges(j: int) -> np.ndarray:
     """Panel edges k/(2j), k = 0..j, matching the zeros of cos(j pi x)."""
     return np.arange(j + 1, dtype=float) / (2.0 * j)
@@ -77,25 +72,43 @@ def _aligned_edges(j: int) -> np.ndarray:
 
 def _coeff_quadrature(p: float, j: int, kind: str, config: EvalConfig | None = None):
     """Oscillatory quadrature for one odd-index coefficient (no shortcuts)."""
-    cfg, tol = _tolerances(config)
+    cfg = config or DEFAULT_CONFIG
     trig = fast_trig(float(p))
     if kind == KIND_COSINE:
-
-        def f(x):
-            return trig.cos_scaled(x) * np.cos(j * PI * x)
-
+        scaled, classical = trig.cos_scaled, np.cos
     else:
+        scaled, classical = trig.sin_scaled, np.sin
 
-        def f(x):
-            return trig.sin_scaled(x) * np.sin(j * PI * x)
+    def f(x):
+        return scaled(x) * classical(j * PI * x)
 
-    value, err = integrate_panels(f, _aligned_edges(j), abs_tol=tol)
+    value, err = integrate_panels(f, _aligned_edges(j), abs_tol=cfg.rel_tol)
     return 4.0 * value, 4.0 * err
 
 
 @lru_cache(maxsize=200_000)
 def _coeff_cached(p: float, j: int, kind: str):
     return _coeff_quadrature(p, j, kind, None)
+
+
+def _check_index(j, first: int, name: str) -> int:
+    """j as an int, if it is an integer >= first."""
+    if not isinstance(j, (int, np.integer)) or j < first:
+        raise DomainError(f"{name} requires an integer j >= {first}, got {j!r}")
+    return int(j)
+
+
+def _coeff(p, j, kind: str, config: EvalConfig | None, name: str, first: int):
+    """(value, err_est) of one coefficient; odd j by quadrature, cached by default."""
+    pexp = PExponent.of(p)
+    j = _check_index(j, first, name)
+    if j % 2 == 0:
+        return 0.0, 0.0
+    if pexp.p == 2.0:
+        return (1.0, 0.0) if j == 1 else (0.0, 0.0)
+    if config is None:
+        return _coeff_cached(pexp.p, j, kind)
+    return _coeff_quadrature(pexp.p, j, kind, config)
 
 
 def cosine_coeff(p, j: int, config: EvalConfig | None = None):
@@ -105,17 +118,7 @@ def cosine_coeff(p, j: int, config: EvalConfig | None = None):
     about x = 1/2 and are returned exactly; p = 2 short-circuits to the
     classical table.  Returns (value, err_est).
     """
-    pexp = PExponent.of(p)
-    if not isinstance(j, (int, np.integer)) or j < 0:
-        raise DomainError(f"cosine_coeff requires an integer j >= 0, got {j!r}")
-    j = int(j)
-    if j % 2 == 0:
-        return 0.0, 0.0
-    if pexp.p == 2.0:
-        return (1.0, 0.0) if j == 1 else (0.0, 0.0)
-    if config is None:
-        return _coeff_cached(pexp.p, j, KIND_COSINE)
-    return _coeff_quadrature(pexp.p, j, KIND_COSINE, config)
+    return _coeff(p, j, KIND_COSINE, config, "cosine_coeff", 0)
 
 
 def sine_coeff(p, j: int, config: EvalConfig | None = None):
@@ -123,17 +126,7 @@ def sine_coeff(p, j: int, config: EvalConfig | None = None):
 
     Even j vanish exactly; p = 2 short-circuits.  Returns (value, err_est).
     """
-    pexp = PExponent.of(p)
-    if not isinstance(j, (int, np.integer)) or j < 1:
-        raise DomainError(f"sine_coeff requires an integer j >= 1, got {j!r}")
-    j = int(j)
-    if j % 2 == 0:
-        return 0.0, 0.0
-    if pexp.p == 2.0:
-        return (1.0, 0.0) if j == 1 else (0.0, 0.0)
-    if config is None:
-        return _coeff_cached(pexp.p, j, KIND_SINE)
-    return _coeff_quadrature(pexp.p, j, KIND_SINE, config)
+    return _coeff(p, j, KIND_SINE, config, "sine_coeff", 1)
 
 
 def coeff_table(p, j_max: int, kind: str = KIND_COSINE, config: EvalConfig | None = None):
@@ -161,8 +154,8 @@ def coeff_relation_check(p, j: int, config: EvalConfig | None = None) -> float:
 
 def cosine_bound_small_p(p: float, j: int) -> float:
     """Decay bound 8 pi_p c_p / (j^2 pi^2) for 1 < p < 2, all j >= 1."""
-    if not 1.0 < p < 2.0:
-        raise DomainError(f"small-p bound requires 1 < p < 2, got {p!r}")
+    p = check_exponent(p, "cosine_bound_small_p", 1.0, 2.0)
+    j = _check_index(j, 1, "cosine_bound_small_p")
     return 8.0 * pi_p(p) * c_p(p) / (j * j * PI * PI)
 
 
@@ -173,31 +166,26 @@ def _large_p_prefactor(p: float) -> float:
 
 def cosine_bound_large_p(p: float, j: int) -> float:
     """Decay bound C(p) j^-p' for p > 2, odd j >= 3."""
-    if not p > 2.0:
-        raise DomainError(f"large-p bound requires p > 2, got {p!r}")
-    if j < 3:
-        raise DomainError(f"large-p bound requires j >= 3, got {j!r}")
+    p = check_exponent(p, "cosine_bound_large_p", 2.0)
+    j = _check_index(j, 3, "cosine_bound_large_p")
     return _large_p_prefactor(p) * float(j) ** (-(p / (p - 1.0)))
+
+
+def _worst_slack(bound, coeff, p, first: int, J: int, config: EvalConfig | None) -> float:
+    """min over odd first <= j <= J of bound(p, j) - |coeff(p, j)|."""
+    if J < first:
+        raise DomainError(f"bound check requires J >= {first}, got {J!r}")
+    return min(bound(p, j) - abs(coeff(p, j, config)[0]) for j in range(first, J + 1, 2))
 
 
 def bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |b_j|) over odd j <= J for 1 < p < 2."""
-    slacks = [
-        cosine_bound_small_p(p, j) - abs(cosine_coeff(p, j, config)[0])
-        for j in range(1, J + 1, 2)
-    ]
-    return min(slacks)
+    return _worst_slack(cosine_bound_small_p, cosine_coeff, p, 1, J, config)
 
 
 def bound_check_large_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |b_j|) over odd 3 <= j <= J for p > 2."""
-    if J < 3:
-        raise DomainError(f"large-p bound check requires J >= 3, got {J!r}")
-    slacks = [
-        cosine_bound_large_p(p, j) - abs(cosine_coeff(p, j, config)[0])
-        for j in range(3, J + 1, 2)
-    ]
-    return min(slacks)
+    return _worst_slack(cosine_bound_large_p, cosine_coeff, p, 3, J, config)
 
 
 def _odd_partial_sum(q: float, J: int) -> float:
@@ -214,11 +202,9 @@ def tail_remainder_bound(p: float, J: int) -> float:
     exactly via the odd zeta sum minus its partial sum.  p = 2 has a
     single nonzero coefficient and returns 0.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
-        raise DomainError(f"tail bound requires p > 1, got {p!r}")
+    p = check_exponent(p, "tail_remainder_bound")
     if J < 3 or J % 2 == 0:
         raise DomainError(f"tail bound requires odd J >= 3, got {J!r}")
-    p = float(p)
     if p == 2.0:
         return 0.0
     if p < 2.0:
@@ -265,9 +251,7 @@ def compare_bounds(p: float, J: int = 199, config: EvalConfig | None = None):
     and for 2 <= p <= 3; first-coefficient bound sharper for p > 2) are
     re-checked and raise if violated.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
-        raise DomainError(f"compare_bounds requires p > 1, got {p!r}")
-    p = float(p)
+    p = check_exponent(p, "compare_bounds")
     if p == 2.0:
         raise DomainError("compare_bounds requires p != 2 (pick a branch)")
     pip = pi_p(p)

@@ -69,14 +69,3 @@ def integrate_panels(f, edges, abs_tol=1e-12, max_depth=48, points=16):
         h = np.concatenate([h, h])
     return value, err
 
-
-def integrate_fixed(f, edges, points=16):
-    """Single-pass panel quadrature without refinement (reduced tolerance)."""
-    edges = np.asarray(edges, dtype=float)
-    nodes, weights = gauss_rule(points)
-    a = edges[:-1]
-    h = np.diff(edges)
-    scaled = (nodes + 1.0) / 2.0
-    x = a[:, None] + h[:, None] * scaled[None, :]
-    vals = f(x.ravel()).reshape(x.shape)
-    return float(((h / 2.0) * (vals @ weights)).sum())

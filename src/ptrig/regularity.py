@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EvalConfig
-from .core import PExponent, c_p, pi_p
+from .core import PExponent, c_p, check_exponent, pi_p
 from .errors import DomainError, InsufficientCoefficients
-from .fourier import sine_coeff
+from .fourier import _check_index, _worst_slack, sine_coeff
 
 PI = math.pi
 
@@ -59,17 +59,15 @@ def sobolev_partial(p, rho: float, J: int, config: EvalConfig | None = None) -> 
 
 def sine_bound_small_p(p: float, j: int) -> float:
     """Decay bound 16 pi_p^2 c_p / pi^3 * j^-3 for 1 < p < 2."""
-    if not 1.0 < p < 2.0:
-        raise DomainError(f"small-p sine bound requires 1 < p < 2, got {p!r}")
+    p = check_exponent(p, "sine_bound_small_p", 1.0, 2.0)
+    j = _check_index(j, 1, "sine_bound_small_p")
     return 16.0 * pi_p(p) ** 2 * c_p(p) / PI**3 / float(j) ** 3
 
 
 def sine_bound_large_p(p: float, j: int) -> float:
     """Decay bound scaling like j^-(p'+1) for p > 2, odd j >= 3."""
-    if not p > 2.0:
-        raise DomainError(f"large-p sine bound requires p > 2, got {p!r}")
-    if j < 3:
-        raise DomainError(f"large-p sine bound requires j >= 3, got {j!r}")
+    p = check_exponent(p, "sine_bound_large_p", 2.0)
+    j = _check_index(j, 3, "sine_bound_large_p")
     conj = p / (p - 1.0)
     pref = 2.0 * pi_p(p) * pi_p(conj) / (PI**3 * (p - 1.0))
     return pref * (2.0 + 0.5 * PI * PI * (p - 2.0)) * float(j) ** (-(conj + 1.0))
@@ -77,22 +75,12 @@ def sine_bound_large_p(p: float, j: int) -> float:
 
 def sine_bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |a_j|) over odd j <= J for 1 < p < 2."""
-    slacks = [
-        sine_bound_small_p(p, j) - abs(sine_coeff(p, j, config)[0])
-        for j in range(1, J + 1, 2)
-    ]
-    return min(slacks)
+    return _worst_slack(sine_bound_small_p, sine_coeff, p, 1, J, config)
 
 
 def sine_bound_check_large_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |a_j|) over odd 3 <= j <= J for p > 2."""
-    if J < 3:
-        raise DomainError(f"large-p sine bound check requires J >= 3, got {J!r}")
-    slacks = [
-        sine_bound_large_p(p, j) - abs(sine_coeff(p, j, config)[0])
-        for j in range(3, J + 1, 2)
-    ]
-    return min(slacks)
+    return _worst_slack(sine_bound_large_p, sine_coeff, p, 3, J, config)
 
 
 def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:

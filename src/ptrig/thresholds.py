@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import c_p, pi_p
-from .errors import BracketError, ConvergenceError, DomainError
+from .core import c_p, check_exponent, pi_p
+from .errors import BracketError, ConvergenceError
 
 PI = math.pi
 LOWER_THRESHOLD_RHS = PI**3 / (PI**2 - 8.0)
@@ -39,12 +39,6 @@ class RootResult:
     trace: tuple = field(default=())
 
 
-def _validate_q(q) -> float:
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 1.0):
-        raise DomainError(f"zeta requires a real argument > 1, got {q!r}")
-    return float(q)
-
-
 def zeta(q: float) -> float:
     """zeta(q) for q > 1 via the accelerated alternating series.
 
@@ -52,7 +46,7 @@ def zeta(q: float) -> float:
     scheme of Cohen, Rodriguez Villegas and Zagier (n = 64 terms), then
     zeta(q) = eta(q) / (1 - 2^(1-q)).
     """
-    q = _validate_q(q)
+    q = check_exponent(q, "zeta", var="q")
     n = 64
     d = (3.0 + math.sqrt(8.0)) ** n
     d = 0.5 * (d + 1.0 / d)
@@ -69,22 +63,19 @@ def zeta(q: float) -> float:
 
 def odd_reciprocal_sum(q: float) -> float:
     """Sum of j^-q over odd j >= 1, i.e. (1 - 2^-q) zeta(q)."""
-    q = _validate_q(q)
+    q = check_exponent(q, "odd_reciprocal_sum", var="q")
     return -math.expm1(-q * math.log(2.0)) * zeta(q)
 
 
 def lower_threshold_lhs(p: float) -> float:
     """pi_p^2 c_p, the level function of the small-p threshold equation."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and 1.0 < p < 2.0):
-        raise DomainError(f"lower_threshold_lhs requires 1 < p < 2, got {p!r}")
+    p = check_exponent(p, "lower_threshold_lhs", 1.0, 2.0)
     return pi_p(p) ** 2 * c_p(p)
 
 
 def upper_threshold_lhs(p: float) -> float:
     """The reduced level function h(p) of the large-p threshold equation."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
-        raise DomainError(f"upper_threshold_lhs requires p > 1, got {p!r}")
-    p = float(p)
+    p = check_exponent(p, "upper_threshold_lhs")
     conj = p / (p - 1.0)
     s = math.sin(PI / p)
     bracket = 2.0 + 0.5 * PI**2 * (p - 2.0)

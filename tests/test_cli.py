@@ -70,6 +70,12 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "F_p", "--p", "0.5", "--x", "0.5")
         assert code == EXIT_DOMAIN
         assert "p must be" in err
+        # a grid names the offending value, not the whole array
+        code, _, err = run_cli(
+            capsys, "eval", "F_p", "--p", "1.5", "--x-min", "0", "--x-max", "1.5", "--x-num", "4"
+        )
+        assert code == EXIT_DOMAIN
+        assert "got 1.5" in err and "array" not in err
 
     def test_function_precondition_named(self, capsys):
         code, _, err = run_cli(capsys, "eval", "v_p", "--p", "1.5", "--x", "0.2")

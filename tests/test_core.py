@@ -38,7 +38,7 @@ arguments = st.floats(min_value=-40.0, max_value=40.0)
 
 class TestPExponent:
     def test_rejects_bad_p(self):
-        for bad in (1.0, 0.5, -3.0, math.nan, math.inf):
+        for bad in (1.0, 0.5, -3.0, math.nan, math.inf, 10**400, "1.5", True):
             with pytest.raises(DomainError):
                 PExponent(bad)
 
@@ -100,6 +100,7 @@ class TestPiP:
             pi_p(1.0)
         with pytest.raises(DomainError):
             pi_p(0.3)
+        assert pi_p(np.int64(3)) == pi_p(3.0)
 
 
 class TestIncompleteF:
@@ -130,6 +131,18 @@ class TestIncompleteF:
             incomplete_F(-0.1, 2.0)
         with pytest.raises(DomainError):
             incomplete_F(1.1, 2.0)
+        with pytest.raises(DomainError, match=r"got 1\.5$"):
+            incomplete_F(np.array([0.5, 1.5, 2.0]), 2.0)
+        with pytest.raises(DomainError):
+            incomplete_F(math.nan, 2.0)
+
+    @pytest.mark.parametrize("p", (1.02, 1.05))
+    def test_endpoint_at_small_p(self, p):
+        # F_p(1) = pi_p/2 by definition; near it sin_p keeps the one-ulp bracket
+        pe = PExponent(p)
+        assert incomplete_F(1.0, pe) == pe.quarter
+        x = pe.quarter * (1.0 - np.array([1e-6, 1e-9, 1e-12]))
+        assert _one_ulp_miss(x, sin_p(x, pe), pe) <= 1e-11
 
 
 class TestSinP:
@@ -157,8 +170,10 @@ class TestSinP:
             assert np.all(np.abs(vals) <= 1.0 + 1e-15)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            sin_p(math.inf, 2.0)
+        for fn in (sin_p, cos_p, exp_p):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    fn(bad, 2.0)
 
 
 class TestCosP:
@@ -294,6 +309,8 @@ class TestDcosP:
             dcos_p(-0.1, 1.5)
         with pytest.raises(DomainError):
             dcos_p(pi_p(1.5), 1.5)
+        with pytest.raises(DomainError):
+            dcos_p(math.nan, 1.5)
 
 
 class TestD2cosP:
@@ -330,6 +347,7 @@ class TestD2cosP:
 class TestCp:
     def test_closed_form_three_halves(self):
         assert c_p(1.5) == pytest.approx(2.0 ** (-2.0 / 3.0), rel=1e-14)
+        assert c_p(np.float32(1.5)) == c_p(1.5)
 
     def test_closed_form_four_thirds(self):
         expected = (1.0 / 3.0) ** 0.25 * (2.0 / 3.0) ** 0.5
@@ -358,13 +376,17 @@ class TestMp:
     def test_independent_oracle(self):
         # brentq on the inverse-beta route, no shared code with m_p
         from scipy.optimize import brentq
-
-        p = 1.5
-        a, b = 1.0 / p, 1.0 - 1.0 / p
         from scipy.special import betaincinv
 
-        root = brentq(lambda x: 1.0 - betaincinv(a, b, 2.0 * x) - (2.0 - p), 1e-9, 0.5 - 1e-9)
-        assert m_p(p) == pytest.approx(root, abs=1e-10)
+        for p in (1.1, 1.46, 1.5, 1.9):
+            a, b = 1.0 / p, 1.0 - 1.0 / p
+            root = brentq(
+                lambda x: 1.0 - betaincinv(a, b, 2.0 * x) - (2.0 - p),
+                1e-9,
+                0.5 - 1e-9,
+                xtol=1e-15,
+            )
+            assert m_p(p) == pytest.approx(root, abs=1e-12)
 
     def test_extremum_value(self):
         for p in (1.1, 1.5):
@@ -413,6 +435,8 @@ class TestUp:
             u_p(0.6, 1.5)
         with pytest.raises(DomainError):
             u_p(0.2, 2.5)
+        with pytest.raises(DomainError):
+            u_p(math.nan, 1.5)
 
 
 class TestVp:
@@ -433,6 +457,8 @@ class TestVp:
             v_p(0.0, 3.0)
         with pytest.raises(DomainError):
             v_p(0.2, 1.5)
+        with pytest.raises(DomainError):
+            v_p(math.nan, 3.0)
 
 
 class TestExpP:

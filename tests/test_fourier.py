@@ -232,6 +232,8 @@ class TestBoundChecks:
         with pytest.raises(DomainError):
             cosine_bound_small_p(2.5, 3)
         with pytest.raises(DomainError):
+            cosine_bound_small_p(1.5, 0)
+        with pytest.raises(DomainError):
             cosine_bound_large_p(3.0, 1)
 
 

@@ -86,6 +86,8 @@ class TestSineBounds:
         with pytest.raises(DomainError):
             sine_bound_large_p(1.5, 5)
         with pytest.raises(DomainError):
+            sine_bound_small_p(1.5, 0)
+        with pytest.raises(DomainError):
             sine_bound_large_p(3.0, 1)
 
     def test_termwise_domination_below_threshold(self):
