@@ -1,7 +1,7 @@
 """Cached bulk evaluator for the rescaled p-trigonometric functions.
 
-The coefficient quadratures need millions of sin_p/cos_p values per
-exponent, which rules out a Newton inversion per point.  This module
+The coefficient banks need about 10^5 sin_p/cos_p values per exponent
+and kind up to j = 1023, which rules out a Newton inversion per point.  This module
 builds, once per exponent, piecewise Chebyshev tables of
 
     S_p(t) = sin_p(pi_p t),   t in [0, 1/4],

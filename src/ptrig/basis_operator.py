@@ -25,7 +25,7 @@ from ._fast_eval import fast_trig
 from .config import DEFAULT_CONFIG, EvalConfig
 from .core import PExponent
 from .errors import ConvergenceError, DomainError
-from .fourier import cosine_coeff
+from .fourier import KIND_COSINE, _odd_coeffs
 from .quadrature import integrate_panels
 
 
@@ -152,13 +152,11 @@ def build_truncated_operator(p, N: int, config: EvalConfig | None = None) -> Tru
         raise DomainError(f"operator truncation requires integer N >= 2, got {N!r}")
     N = int(N)
     entries = {(0, 0): 1.0}
-    values = {}
-    for m in range(1, N, 2):
-        values[m] = cosine_coeff(pexp, m, config)[0]
+    values = _odd_coeffs(pexp, KIND_COSINE, 1, N - 1, config)[0].tolist()
     for n in range(1, N):
         m = 1
         while m * n < N:
-            entries[(m * n, n)] = values[m]
+            entries[(m * n, n)] = values[m // 2]
             m += 2
     return TruncatedBasisOp(p=pexp.p, N=N, entries=entries)
 
@@ -215,14 +213,12 @@ def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None =
     rhs = np.zeros(N)
     take = min(N, len(fhat))
     rhs[:take] = fhat.coeffs[:take]
-    b1 = cosine_coeff(pexp, 1, config)[0] if pexp.p != 2.0 else 1.0
+    b = _odd_coeffs(pexp, KIND_COSINE, 1, max(N - 1, 1), config)[0].tolist()
+    b1 = b[0]
     if abs(b1) < 1e-8:
         raise ConvergenceError(
             f"truncated operator is numerically singular: |b_1| = {abs(b1):.3e}"
         )
-    coeffs = {}
-    for m in range(3, N, 2):
-        coeffs[m] = cosine_coeff(pexp, m, config)[0]
     c = np.zeros(N)
     if N > 0:
         c[0] = rhs[0]
@@ -230,7 +226,7 @@ def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None =
         acc = rhs[k]
         for m in range(3, k + 1, 2):
             if k % m == 0:
-                acc -= coeffs[m] * c[k // m]
+                acc -= b[m // 2] * c[k // m]
         c[k] = acc / b1
     op = build_truncated_operator(pexp, N, config) if N >= 2 else None
     residual = float(np.max(np.abs(op.matvec(c) - rhs))) if op else 0.0

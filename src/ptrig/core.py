@@ -261,6 +261,9 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None):
     y = np.clip(np.sin(np.pi * u / pexp.pi_p), 0.0, 1.0)
     lo = np.zeros_like(u)
     hi = np.ones_like(u)
+    # residuals F_p(lo) - u and F_p(hi) - u; F_p(1) = pi_p/2 exactly
+    r_lo = -u
+    r_hi = u_star - u
     done = np.zeros(u.shape, dtype=bool)
     at0 = u <= 0.0
     at1 = u >= u_star * (1.0 - 4.0 * _EPS)
@@ -286,6 +289,8 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None):
         r, met = residual(idx, yl)
         hl = np.where(r > 0.0, np.minimum(hi[idx], yl), hi[idx])
         cl = np.where(r < 0.0, np.maximum(lo[idx], yl), lo[idx])
+        r_hi[idx] = np.where(r > 0.0, r, r_hi[idx])
+        r_lo[idx] = np.where(r < 0.0, r, r_lo[idx])
         narrow = ~met & (hl - cl <= 4.0 * _EPS)
         ok = met | narrow
         step = r * _cos_from_y(yl, p)
@@ -312,17 +317,22 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None):
         )
     # A 4 eps bracket above 2^-k holds at most 2^(3+k) ulps, and the
     # midpoint of two non-adjacent doubles lies strictly between them, so
-    # these halvings end after 3 + k rounds (3 near pi_p/2).
-    collapsed &= np.nextafter(lo, 2.0) < hi
-    while collapsed.any():
-        idx = collapsed.copy()
+    # these halvings end after 3 + k rounds (3 near pi_p/2).  A bracket of
+    # two adjacent doubles ends on the one with the smaller residual.
+    halving = collapsed & (np.nextafter(lo, 2.0) < hi)
+    while halving.any():
+        idx = halving.copy()
         mid = 0.5 * (lo[idx] + hi[idx])
         r, met = residual(idx, mid)
         hi[idx] = np.where(r > 0.0, mid, hi[idx])
         lo[idx] = np.where(r < 0.0, mid, lo[idx])
+        r_hi[idx] = np.where(r > 0.0, r, r_hi[idx])
+        r_lo[idx] = np.where(r < 0.0, r, r_lo[idx])
         y[idx] = mid
-        collapsed[idx] = ~met & (np.nextafter(lo[idx], 2.0) < hi[idx])
-    return y
+        collapsed[idx] = ~met
+        halving[idx] = ~met & (np.nextafter(lo[idx], 2.0) < hi[idx])
+    nearer = np.where(np.abs(r_lo) <= np.abs(r_hi), lo, hi)
+    return np.where(collapsed, nearer, y)
 
 
 def reduce_argument(tau):

@@ -1,10 +1,17 @@
 """Fourier coefficients of the rescaled p-sine and p-cosine.
 
 The sine coefficients a_j of sin_p(pi_p x) and cosine coefficients b_j of
-cos_p(pi_p x) vanish for even j by symmetry; for odd j they are computed
-as 4 * int_0^(1/2) over panels aligned with the quarter oscillations of
-the classical factor, with a bisection refinement supplying the error
-estimate.  The decay bounds
+cos_p(pi_p x) vanish for even j by symmetry; odd j are computed as
+4 * int_0^(1/2) in banks, one per exponent, kind and tier (odd j <= 127,
+then odd j in (T/2, T] for T = 2^k - 1).  A bank samples the p-function
+once on a 16-point Gauss-Legendre grid over [0, 1/2] with panels
+1/(2(T+1)) wide, a quarter oscillation of cos(T pi x), graded dyadically
+into both endpoint singularities; the classical rows follow from the
+three-term recurrence in j.  The value is the sum on the grid with every
+panel halved, its gap to the unhalved sum the error estimate.  A
+coefficient depends only on (p, kind, j).
+
+The decay bounds
 
     |b_j| < 8 pi_p c_p / (j^2 pi^2)                       (1 < p < 2)
     |b_j| < 2 pi_p' / (pi^2 (p-1)) (2 + pi^2 (p-2)/2) j^-p'   (p > 2, j >= 3)
@@ -28,8 +35,8 @@ import numpy as np
 from ._fast_eval import fast_trig
 from .config import DEFAULT_CONFIG, EvalConfig
 from .core import PExponent, c_p, check_exponent, pi_p
-from .errors import DomainError
-from .quadrature import integrate_panels
+from .errors import ConvergenceError, DomainError
+from .quadrature import gauss_rule
 from .thresholds import odd_reciprocal_sum
 
 PI = math.pi
@@ -60,35 +67,87 @@ class CriterionReport:
     b1: float
     tail_computed: float
     tail_remainder_bound: float
+    quadrature_err: float
     J: int
     margin: float
     holds: bool
 
 
-def _aligned_edges(j: int) -> np.ndarray:
-    """Panel edges k/(2j), k = 0..j, matching the zeros of cos(j pi x)."""
-    return np.arange(j + 1, dtype=float) / (2.0 * j)
+_GRADING = 40  # dyadic levels into each endpoint, down to 2^-40 of a panel
+_CHUNK = 16384  # table evaluations per call, to bound the temporaries
 
 
-def _coeff_quadrature(p: float, j: int, kind: str, config: EvalConfig | None = None):
-    """Oscillatory quadrature for one odd-index coefficient (no shortcuts)."""
-    cfg = config or DEFAULT_CONFIG
+def _tier(j: int):
+    """(first, last) odd index of the tier of odd j: [1, 127], then
+    (T/2, T] for T = 2^k - 1."""
+    last = max(127, (1 << int(j).bit_length()) - 1)
+    return (1 if last == 127 else last // 2 + 2), last
+
+
+def _tier_grid(last: int):
+    """(x, w, nc): 16-point Gauss-Legendre nodes and weights of a tier's
+    grid (the first nc) and of the same grid with every panel halved."""
+    h = 0.5 / (last + 1)
+    graded = h * 2.0 ** -np.arange(_GRADING, 0, -1)
+    edges = np.concatenate(
+        [[0.0], graded, h * np.arange(1, last + 1), 0.5 - graded[::-1], [0.5]]
+    )
+    halved = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    nodes, weights = gauss_rule(16)
+    xs, ws = [], []
+    for e in (edges, halved):
+        a, width = e[:-1, None], np.diff(e)[:, None]
+        xs.append((a + width * (nodes + 1.0) / 2.0).ravel())
+        ws.append((width / 2.0 * weights).ravel())
+    return np.concatenate(xs), np.concatenate(ws), xs[0].size
+
+
+def _seed_row(classical, j: int, x: np.ndarray) -> np.ndarray:
+    """classical(j pi x), with j x reduced mod 2 exactly for |j| < 2^23.
+
+    Rounding j pi x directly costs up to j eps in the phase, which the
+    recurrence would carry into every later row of the tier.
+    """
+    xh = np.floor(x * 2.0**30) / 2.0**30  # j * xh is exact
+    return classical(PI * (np.fmod(j * xh, 2.0) + j * (x - xh)))
+
+
+def _coeff_quadrature(p: float, j, kind: str):
+    """(value, err_est) of odd coefficients j by the tier quadrature.
+
+    j is an odd int or an array of odd indices from one tier.  The whole
+    tier is computed from fresh samples, with no cache and no p = 2
+    shortcut, so a coefficient comes out the same whichever indices are
+    asked for alongside it.
+    """
+    js = np.asarray(j)
+    first, last = _tier(js.max())
     trig = fast_trig(float(p))
     if kind == KIND_COSINE:
         scaled, classical = trig.cos_scaled, np.cos
     else:
         scaled, classical = trig.sin_scaled, np.sin
+    x, w, nc = _tier_grid(last)
+    f = w * np.concatenate([scaled(x[i : i + _CHUNK]) for i in range(0, x.size, _CHUNK)])
+    # row_{j+2} = 2 cos(2 pi x) row_j - row_{j-2}, from two seeded rows
+    two_cos = 2.0 * np.cos(2.0 * PI * x)
+    prev, row = _seed_row(classical, first - 2, x), _seed_row(classical, first, x)
+    sums = np.empty(((last - first) // 2 + 1, 2))  # (unhalved, halved) per j
+    weighted = np.empty_like(x)
+    for i in range(len(sums)):
+        np.multiply(row, f, out=weighted)
+        sums[i] = weighted[:nc].sum(), weighted[nc:].sum()
+        np.multiply(two_cos, row, out=weighted)
+        prev, row = row, np.subtract(weighted, prev, out=prev)
+    values = 4.0 * sums[:, 1]
+    pick = (js - first) // 2
+    return values[pick], np.abs(values - 4.0 * sums[:, 0])[pick]
 
-    def f(x):
-        return scaled(x) * classical(j * PI * x)
 
-    value, err = integrate_panels(f, _aligned_edges(j), abs_tol=cfg.rel_tol)
-    return 4.0 * value, 4.0 * err
-
-
-@lru_cache(maxsize=200_000)
-def _coeff_cached(p: float, j: int, kind: str):
-    return _coeff_quadrature(p, j, kind, None)
+@lru_cache(maxsize=1024)
+def _coeff_cached(p: float, kind: str, last: int):
+    """The bank of one tier: values and error estimates of its odd j."""
+    return _coeff_quadrature(p, np.arange(_tier(last)[0], last + 1, 2), kind)
 
 
 def _check_index(j, first: int, name: str) -> int:
@@ -98,17 +157,42 @@ def _check_index(j, first: int, name: str) -> int:
     return int(j)
 
 
+def _odd_coeffs(pexp: PExponent, kind: str, lo: int, hi: int, config: EvalConfig | None):
+    """Values and error estimates of the odd coefficients lo <= j <= hi.
+
+    lo is odd.  The values come from the banks whatever the config; an
+    error estimate above config.rel_tol (or NaN) raises ConvergenceError.
+    p = 2 reads the classical table.
+    """
+    if pexp.p == 2.0:
+        values = (np.arange(lo, hi + 1, 2) == 1).astype(float)
+        return values, np.zeros_like(values)
+    start, j, banks = _tier(lo)[0], lo, []
+    while j <= hi:
+        last = _tier(j)[1]
+        banks.append(_coeff_cached(pexp.p, kind, last))
+        j = last + 2
+    take = slice((lo - start) // 2, (hi - start) // 2 + 1)
+    values, errs = (np.concatenate(parts)[take] for parts in zip(*banks))
+    cfg = config or DEFAULT_CONFIG
+    bad = np.flatnonzero(~(errs <= cfg.rel_tol))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(
+            f"{'b' if kind == KIND_COSINE else 'a'}_{lo + 2 * i} at p={pexp.p!r}: "
+            f"quadrature error estimate {errs[i]:.3e} exceeds rel_tol {cfg.rel_tol:.3e}"
+        )
+    return values, errs
+
+
 def _coeff(p, j, kind: str, config: EvalConfig | None, name: str, first: int):
-    """(value, err_est) of one coefficient; odd j by quadrature, cached by default."""
+    """(value, err_est) of one coefficient, read from its bank."""
     pexp = PExponent.of(p)
     j = _check_index(j, first, name)
     if j % 2 == 0:
         return 0.0, 0.0
-    if pexp.p == 2.0:
-        return (1.0, 0.0) if j == 1 else (0.0, 0.0)
-    if config is None:
-        return _coeff_cached(pexp.p, j, kind)
-    return _coeff_quadrature(pexp.p, j, kind, config)
+    values, errs = _odd_coeffs(pexp, kind, j, j, config)
+    return float(values[0]), float(errs[0])
 
 
 def cosine_coeff(p, j: int, config: EvalConfig | None = None):
@@ -136,9 +220,9 @@ def coeff_table(p, j_max: int, kind: str = KIND_COSINE, config: EvalConfig | Non
     if j_max < 1:
         raise DomainError(f"j_max must be at least 1, got {j_max!r}")
     pexp = PExponent.of(p)
-    start = 0 if kind == KIND_COSINE else 1
-    fetch = cosine_coeff if kind == KIND_COSINE else sine_coeff
-    entries = {j: fetch(pexp, j, config) for j in range(start, j_max + 1)}
+    values, errs = _odd_coeffs(pexp, kind, 1, j_max, config)
+    entries = {j: (0.0, 0.0) for j in range(0 if kind == KIND_COSINE else 1, j_max + 1)}
+    entries.update(zip(range(1, j_max + 1, 2), zip(values.tolist(), errs.tolist())))
     return CoeffTable(p=pexp, kind=kind, entries=entries, j_max=j_max)
 
 
@@ -171,21 +255,23 @@ def cosine_bound_large_p(p: float, j: int) -> float:
     return _large_p_prefactor(p) * float(j) ** (-(p / (p - 1.0)))
 
 
-def _worst_slack(bound, coeff, p, first: int, J: int, config: EvalConfig | None) -> float:
-    """min over odd first <= j <= J of bound(p, j) - |coeff(p, j)|."""
+def _worst_slack(bound, kind: str, p, first: int, J: int, config: EvalConfig | None) -> float:
+    """min over odd first <= j <= J of bound(p, j) minus the coefficient's modulus."""
     if J < first:
         raise DomainError(f"bound check requires J >= {first}, got {J!r}")
-    return min(bound(p, j) - abs(coeff(p, j, config)[0]) for j in range(first, J + 1, 2))
+    bounds = [bound(p, j) for j in range(first, J + 1, 2)]
+    values, _ = _odd_coeffs(PExponent.of(p), kind, first, J, config)
+    return min(b - abs(v) for b, v in zip(bounds, values.tolist()))
 
 
 def bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |b_j|) over odd j <= J for 1 < p < 2."""
-    return _worst_slack(cosine_bound_small_p, cosine_coeff, p, 1, J, config)
+    return _worst_slack(cosine_bound_small_p, KIND_COSINE, p, 1, J, config)
 
 
 def bound_check_large_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |b_j|) over odd 3 <= j <= J for p > 2."""
-    return _worst_slack(cosine_bound_large_p, cosine_coeff, p, 3, J, config)
+    return _worst_slack(cosine_bound_large_p, KIND_COSINE, p, 3, J, config)
 
 
 def _odd_partial_sum(q: float, J: int) -> float:
@@ -218,24 +304,27 @@ def basis_criterion(p, J: int = 999, config: EvalConfig | None = None) -> Criter
     """Evaluate the truncated basis criterion with a certified remainder.
 
     tail_computed sums |b_j| over odd 3 <= j <= J from quadrature, the
-    remainder bound covers j > J analytically, and the margin is
-    |b_1| - tail_computed - remainder.  The criterion is sufficient, not
-    necessary: holds = False only means no conclusion at this truncation.
+    remainder bound covers j > J analytically, quadrature_err sums the
+    quadrature error estimates of b_j over odd 1 <= j <= J, and the margin
+    is |b_1| - tail_computed - remainder - quadrature_err.  The criterion
+    is sufficient, not necessary: holds = False only means no conclusion
+    at this truncation.
     """
     pexp = PExponent.of(p)
     if J < 3 or J % 2 == 0:
         raise DomainError(f"basis criterion requires odd J >= 3, got {J!r}")
-    b1, _ = cosine_coeff(pexp, 1, config)
-    tail = 0.0
-    for j in range(3, J + 1, 2):
-        tail += abs(cosine_coeff(pexp, j, config)[0])
+    values, errs = _odd_coeffs(pexp, KIND_COSINE, 1, J, config)
+    b1 = float(values[0])
+    tail = float(np.sum(np.abs(values[1:])))
+    quadrature_err = float(np.sum(errs))
     remainder = tail_remainder_bound(pexp.p, J)
-    margin = abs(b1) - tail - remainder
+    margin = abs(b1) - tail - remainder - quadrature_err
     return CriterionReport(
         p=pexp.p,
         b1=b1,
         tail_computed=tail,
         tail_remainder_bound=remainder,
+        quadrature_err=quadrature_err,
         J=J,
         margin=margin,
         holds=margin > 0.0,

@@ -1,10 +1,11 @@
-"""Panel-based Gauss-Legendre quadrature with bisection refinement.
+"""Gauss-Legendre rules and adaptive panel quadrature.
 
-The oscillatory coefficient integrals are integrated over panels aligned
-with the zeros and extrema of the trigonometric factor; each panel is
-evaluated with a 16-point rule and re-evaluated on its two halves.  The
-half-panel sum is kept as the value, the coarse/refined difference as the
-error estimate, and panels whose estimate exceeds their share of the
+`gauss_rule` serves the fixed coefficient-bank grids of ptrig.fourier.
+`integrate_panels` is the adaptive route of the operator cross-checks
+(`reconstruct_check`, the L_s norms of `isometry_check`): each panel is
+evaluated with a 16-point rule and re-evaluated on its two halves, the
+half-panel sum is kept as the value, the coarse/refined difference as
+the error estimate, and panels whose estimate exceeds their share of the
 budget are bisected further.  Mild algebraic endpoint singularities are
 absorbed by the bisection cascade.
 """

@@ -23,7 +23,7 @@ import numpy as np
 from .config import EvalConfig
 from .core import PExponent, c_p, check_exponent, pi_p
 from .errors import DomainError, InsufficientCoefficients
-from .fourier import _check_index, _worst_slack, sine_coeff
+from .fourier import KIND_SINE, _check_index, _odd_coeffs, _worst_slack
 
 PI = math.pi
 
@@ -49,12 +49,9 @@ def sobolev_partial(p, rho: float, J: int, config: EvalConfig | None = None) -> 
         raise DomainError(f"sobolev_partial requires rho >= 0, got {rho!r}")
     if J < 1:
         raise DomainError(f"sobolev_partial requires J >= 1, got {J!r}")
-    pexp = PExponent.of(p)
-    total = 0.0
-    for j in range(1, J + 1, 2):
-        a, _ = sine_coeff(pexp, j, config)
-        total += (1.0 + j * j) ** rho * a * a
-    return total
+    a, _ = _odd_coeffs(PExponent.of(p), KIND_SINE, 1, J, config)
+    js = np.arange(1, J + 1, 2, dtype=float)
+    return float(np.sum((1.0 + js * js) ** rho * a * a))
 
 
 def sine_bound_small_p(p: float, j: int) -> float:
@@ -75,12 +72,12 @@ def sine_bound_large_p(p: float, j: int) -> float:
 
 def sine_bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |a_j|) over odd j <= J for 1 < p < 2."""
-    return _worst_slack(sine_bound_small_p, sine_coeff, p, 1, J, config)
+    return _worst_slack(sine_bound_small_p, KIND_SINE, p, 1, J, config)
 
 
 def sine_bound_check_large_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |a_j|) over odd 3 <= j <= J for p > 2."""
-    return _worst_slack(sine_bound_large_p, sine_coeff, p, 3, J, config)
+    return _worst_slack(sine_bound_large_p, KIND_SINE, p, 3, J, config)
 
 
 def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:
@@ -93,17 +90,14 @@ def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:
     if Jmax < 51:
         raise DomainError(f"decay_slope requires Jmax >= 51, got {Jmax!r}")
     pexp = PExponent.of(p)
-    js, logs = [], []
-    for j in range(11, Jmax + 1, 2):
-        a, _ = sine_coeff(pexp, j, config)
-        if abs(a) > NOISE_FLOOR:
-            js.append(math.log(j))
-            logs.append(math.log(abs(a)))
-    if len(js) < _MIN_FIT_POINTS:
+    a, _ = _odd_coeffs(pexp, KIND_SINE, 11, Jmax, config)
+    js = np.arange(11, Jmax + 1, 2, dtype=float)
+    usable = np.abs(a) > NOISE_FLOOR
+    if usable.sum() < _MIN_FIT_POINTS:
         raise InsufficientCoefficients(
-            f"only {len(js)} coefficients above the noise floor for p={pexp.p}"
+            f"only {usable.sum()} coefficients above the noise floor for p={pexp.p}"
         )
-    slope, _ = np.polyfit(np.asarray(js), np.asarray(logs), 1)
+    slope, _ = np.polyfit(np.log(js[usable]), np.log(np.abs(a[usable])), 1)
     return float(slope)
 
 

@@ -283,6 +283,17 @@ def test_inversion_near_quarter_within_budget(p):
     assert _one_ulp_miss(u, y, pe) <= 1e-11
 
 
+@pytest.mark.parametrize(
+    "p,d", [(1.5, 1e-13), (1.5, 1e-10), (1.5, 1e-8), (1.5, 1e-6), (3.0, 1e-13)]
+)
+def test_inversion_ends_on_nearer_double(p, d):
+    # 1 - y is far below half an ulp here, so of the two doubles around the
+    # root 1 has the smaller F_p residual (pi_p/2 - x = d, exactly at y = 1)
+    x = pi_p(p) / 2.0 - d
+    assert sin_p(x, p) == 1.0
+    assert cos_p(x, p) <= 1e-11
+
+
 class TestDcosP:
     def test_zero_at_origin(self):
         assert dcos_p(0.0, 1.5) == 0.0

@@ -8,10 +8,13 @@ import pytest
 from ptrig import (
     KIND_COSINE,
     KIND_SINE,
+    ConvergenceError,
     DomainError,
+    EvalConfig,
     basis_criterion,
     bound_check_large_p,
     bound_check_small_p,
+    build_truncated_operator,
     c_p,
     coeff_relation_check,
     coeff_table,
@@ -21,6 +24,8 @@ from ptrig import (
     sine_coeff,
     tail_remainder_bound,
 )
+from ptrig import fourier
+from ptrig._fast_eval import fast_trig
 from ptrig.fourier import (
     _coeff_quadrature,
     cosine_bound_large_p,
@@ -183,6 +188,49 @@ class TestQuadratureAgainstFFT:
         for j in (1, 3, 99, 501):
             assert cosine_coeff(p, j)[0] == pytest.approx(coeffs[j], abs=1e-11)
 
+    # at p = 5 the oracle's own error at 2^20 samples reaches 3e-11 (j = 1023;
+    # it falls about 4.7x per doubling), so that exponent takes 2^21
+    @pytest.mark.parametrize("p,samples", [(1.1, 2**20), (1.46, 2**20), (2.41, 2**20), (5.0, 2**21)])
+    def test_every_odd_index_through_1023(self, p, samples):
+        coeffs = cosine_coeffs_fft(p, samples)
+        table = coeff_table(p, 1023, KIND_COSINE)
+        worst = max(abs(table.entries[j][0] - coeffs[j]) for j in range(1, 1024, 2))
+        assert worst < 1e-11
+
+
+def _clear_coefficient_caches():
+    fourier._coeff_cached.cache_clear()
+    fast_trig.cache_clear()
+
+
+class TestCoefficientBank:
+    JS = (1, 3, 127, 129, 255, 257, 511, 513, 999, 1023)
+
+    @pytest.mark.parametrize("p", (1.46, 2.41))
+    def test_values_independent_of_route(self, p):
+        cold = []
+        for j in self.JS:
+            _clear_coefficient_caches()
+            cold.append(cosine_coeff(p, j))
+        for warm in (
+            lambda: basis_criterion(p, 999),
+            lambda: build_truncated_operator(p, 256),
+        ):
+            _clear_coefficient_caches()
+            warm()
+            assert [cosine_coeff(p, j) for j in self.JS] == cold
+        _clear_coefficient_caches()
+        assert [cosine_coeff(p, j, config=EvalConfig()) for j in self.JS] == cold
+
+    def test_estimate_above_tolerance_raises(self):
+        strict = EvalConfig(rel_tol=1e-18)
+        for name, coeff in (("b", cosine_coeff), ("a", sine_coeff)):
+            j = next(j for j in range(1, 100, 2) if coeff(1.5, j)[1] > 1e-18)
+            with pytest.raises(ConvergenceError, match=rf"{name}_{j} at p=1\.5"):
+                coeff(1.5, j, config=strict)
+        with pytest.raises(ConvergenceError):
+            basis_criterion(1.5, 99, config=strict)
+
 
 class TestBasisCriterion:
     def test_classical(self):
@@ -201,7 +249,12 @@ class TestBasisCriterion:
     def test_consistency_of_report(self):
         report = basis_criterion(1.7, J=199)
         assert report.holds == (report.margin > 0.0)
-        expected = abs(report.b1) - report.tail_computed - report.tail_remainder_bound
+        expected = (
+            abs(report.b1)
+            - report.tail_computed
+            - report.tail_remainder_bound
+            - report.quadrature_err
+        )
         assert report.margin == pytest.approx(expected, abs=1e-15)
 
     def test_deterministic(self):
