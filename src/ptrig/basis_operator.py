@@ -25,7 +25,7 @@ from ._fast_eval import fast_trig
 from .config import DEFAULT_CONFIG, EvalConfig
 from .core import PExponent
 from .errors import ConvergenceError, DomainError
-from .fourier import KIND_COSINE, _odd_coeffs
+from .fourier import KIND_COSINE, _check_index, _odd_coeffs
 from .quadrature import integrate_panels
 
 
@@ -87,9 +87,7 @@ def apply_dilation(v: CosineVector, n: int, cap: int | None = None) -> CosineVec
     The constant term is fixed (the dilation of a constant is itself).
     The result has length n*(N-1)+1, or `cap` when given.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"dilation order must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _check_index(n, 1, "apply_dilation", "n")
     N = len(v)
     out_len = n * (N - 1) + 1 if cap is None else int(cap)
     if out_len < 1:
@@ -127,11 +125,9 @@ def isometry_check(g, n: int, s: float, config: EvalConfig | None = None) -> flo
     Both norms are computed by panel quadrature with panel edges aligned
     to the fold points k/n of the periodic extension.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"isometry check requires an integer n >= 1, got {n!r}")
+    n = _check_index(n, 1, "isometry_check", "n")
     if not s > 1.0:
-        raise DomainError(f"isometry check requires s > 1, got {s!r}")
-    n = int(n)
+        raise DomainError(f"isometry_check requires s > 1, got {s!r}")
     base = _ls_norm_pow(g, s, [], config)
     folds = np.arange(1, n) / n
     dilated = _ls_norm_pow(lambda x: _periodic_even(g, n * x), s, folds, config)
@@ -148,9 +144,7 @@ def build_truncated_operator(p, N: int, config: EvalConfig | None = None) -> Tru
     carries b_1(p).
     """
     pexp = PExponent.of(p)
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise DomainError(f"operator truncation requires integer N >= 2, got {N!r}")
-    N = int(N)
+    N = _check_index(N, 2, "build_truncated_operator", "N")
     entries = {(0, 0): 1.0}
     values = _odd_coeffs(pexp, KIND_COSINE, 1, N - 1, config)[0].tolist()
     for n in range(1, N):
@@ -169,9 +163,8 @@ def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> fl
     the coefficient-space convention of the operator columns).
     """
     pexp = PExponent.of(p)
-    if not isinstance(n, (int, np.integer)) or n < 0 or n >= N:
-        raise DomainError(f"reconstruct check requires 0 <= n < N, got n={n!r}")
-    n = int(n)
+    N = _check_index(N, 2, "reconstruct_check", "N")
+    n = _check_index(n, 0, "reconstruct_check", "n", stop=N)
     cfg = config or DEFAULT_CONFIG
     op = build_truncated_operator(pexp, N, config)
     col = op.column(n)
@@ -207,9 +200,7 @@ def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None =
     makes the truncation numerically singular and is reported.
     """
     pexp = PExponent.of(p)
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise DomainError(f"expansion requires integer N >= 1, got {N!r}")
-    N = int(N)
+    N = _check_index(N, 1, "expand_in_pcosine", "N")
     rhs = np.zeros(N)
     take = min(N, len(fhat))
     rhs[:take] = fhat.coeffs[:take]

@@ -9,7 +9,9 @@ reflection about pi_p/2, and 2*pi_p periodicity.  cos_p is its derivative,
 which on the principal branch equals (1 - sin_p^p)^(1/p).  F_p is computed
 by tanh-sinh quadrature (the integrand has an algebraic endpoint
 singularity at t = 1), and the inversion uses a safeguarded Newton
-iteration with bisection fallback inside the bracket [0, 1].
+iteration with bisection fallback inside the bracket [0, 1].  The public
+functions start it from the cached Chebyshev table of p (_fast_eval),
+which is itself built from the classical-sine start.
 
 All quadrant and sign logic follows the extension rules of the p-sine;
 there are no trigonometric shortcuts for p != 2.
@@ -239,11 +241,14 @@ def _one_minus_y_pow_p(y, p):
 # ---------------------------------------------------------------------------
 
 
-def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None):
+def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=None):
     """Solve F_p(y) = u for u in [0, pi_p/2] by safeguarded Newton.
 
-    The initial guess is the classical sine of the rescaled argument; a
-    bisection step replaces Newton whenever the iterate leaves the current
+    The initial guess is `seed` (an array shaped like u, clipped to
+    [0, 1]) or, without one, the classical sine of the rescaled argument.
+    A seed only moves the start: the acceptance rule below is the same
+    either way, so any seed yields an answer with the same certificate.
+    A bisection step replaces Newton whenever the iterate leaves the current
     bracket or fails to halve the residual.  Termination is by residual
     tolerance, or, where F_p is too steep for any double to meet it (near
     pi_p/2), by bracket collapse: once the bracket is 4 eps wide the
@@ -258,7 +263,8 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None):
     if not np.all((u >= -1e-15) & (u <= u_star * (1.0 + 1e-13))):
         raise DomainError("inversion argument outside [0, pi_p/2]")
     p = pexp.p
-    y = np.clip(np.sin(np.pi * u / pexp.pi_p), 0.0, 1.0)
+    start = np.sin(np.pi * u / pexp.pi_p) if seed is None else np.asarray(seed, dtype=float)
+    y = np.clip(start, 0.0, 1.0)
     lo = np.zeros_like(u)
     hi = np.ones_like(u)
     # residuals F_p(lo) - u and F_p(hi) - u; F_p(1) = pi_p/2 exactly
@@ -381,6 +387,33 @@ def incomplete_F(y, p, config: EvalConfig | None = None):
     return _scalar_or_array(vals, scalar)
 
 
+@lru_cache(maxsize=64)
+def _table_refused(p: float) -> bool:
+    """Whether fast_trig(p) refuses its tables; memoised, so paid once per p."""
+    from ._fast_eval import fast_trig  # _fast_eval imports this module
+
+    try:
+        fast_trig(p)
+    except ConvergenceError:
+        return True
+    return False
+
+
+def _invert(u, pexp: PExponent, config: EvalConfig | None):
+    """invert_quarter started from the cached table of p, wherever one can be built.
+
+    Whether to seed depends on p alone, so a result is bitwise independent
+    of how a batch is split and of whether the table was already cached.
+    """
+    seed = None
+    if not _table_refused(pexp.p):
+        from ._fast_eval import fast_trig
+
+        t = np.clip(np.nan_to_num(np.asarray(u, dtype=float) / pexp.pi_p), 0.0, 0.5)
+        seed = fast_trig(pexp.p)._quarter_sin(t)
+    return invert_quarter(u, pexp, config, seed)
+
+
 def _reduce_and_invert(x, pexp: PExponent, config: EvalConfig | None, name: str):
     """|sin_p(x)| with the sine and cosine signs of x's quadrant.
 
@@ -390,7 +423,7 @@ def _reduce_and_invert(x, pexp: PExponent, config: EvalConfig | None, name: str)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} requires finite arguments")
     t, s_sign, c_sign = reduce_argument(arr / pexp.pi_p)
-    return invert_quarter(pexp.pi_p * t, pexp, config), s_sign, c_sign, scalar
+    return _invert(pexp.pi_p * t, pexp, config), s_sign, c_sign, scalar
 
 
 def sin_p(x, p, config: EvalConfig | None = None):
@@ -418,7 +451,7 @@ def dcos_p(x, p, config: EvalConfig | None = None):
     arr, scalar = _as_batch(x)
     if np.any(arr < -1e-15) or np.any(arr > pexp.quarter * (1.0 + 1e-13)):
         raise DomainError("dcos_p requires x in the first quarter period")
-    y = invert_quarter(np.clip(arr, 0.0, pexp.quarter), pexp, config)
+    y = _invert(np.clip(arr, 0.0, pexp.quarter), pexp, config)
     c = _cos_from_y(y, pexp.p)
     with np.errstate(divide="ignore", over="ignore"):
         vals = -(y ** (pexp.p - 1.0)) * c ** (2.0 - pexp.p)
@@ -438,7 +471,7 @@ def d2cos_p(x, p, config: EvalConfig | None = None):
     arr, scalar = _as_batch(x)
     if np.any(arr <= 0.0) or np.any(arr >= pexp.quarter):
         raise DomainError("d2cos_p requires x strictly inside (0, pi_p/2)")
-    y = invert_quarter(arr, pexp, config)
+    y = _invert(arr, pexp, config)
     c = _cos_from_y(y, pexp.p)
     bracket = 2.0 - pexp.p - _one_minus_y_pow_p(y, pexp.p)
     vals = y ** (pexp.p - 2.0) * c ** (3.0 - 2.0 * pexp.p) * bracket
@@ -492,7 +525,7 @@ def v_p(x, p: float, config: EvalConfig | None = None):
     if np.any(arr <= 0.0) or np.any(arr > 0.5):
         raise DomainError("v_p requires 0 < x <= 1/2 (diverges at 0)")
     q = conj.p
-    y = invert_quarter(conj.pi_p * arr, conj, config)
+    y = _invert(conj.pi_p * arr, conj, config)
     c = _cos_from_y(y, q)
     vals = (q - 1.0) * y ** (q - 2.0) * c
     return _scalar_or_array(vals, scalar)

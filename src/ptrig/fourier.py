@@ -150,11 +150,16 @@ def _coeff_cached(p: float, kind: str, last: int):
     return _coeff_quadrature(p, np.arange(_tier(last)[0], last + 1, 2), kind)
 
 
-def _check_index(j, first: int, name: str) -> int:
-    """j as an int, if it is an integer >= first."""
-    if not isinstance(j, (int, np.integer)) or j < first:
-        raise DomainError(f"{name} requires an integer j >= {first}, got {j!r}")
-    return int(j)
+def _check_index(j, first: int, name: str, var: str = "j", stop: int | None = None) -> int:
+    """j as an int, if it is an integer >= first (and < stop, when given).
+
+    Otherwise raises DomainError naming the caller and its range, e.g.
+    "apply_dilation requires an integer n >= 1".
+    """
+    if isinstance(j, (int, np.integer)) and j >= first and (stop is None or j < stop):
+        return int(j)
+    bounds = f"{var} >= {first}" if stop is None else f"{first} <= {var} < {stop}"
+    raise DomainError(f"{name} requires an integer {bounds}, got {j!r}")
 
 
 def _odd_coeffs(pexp: PExponent, kind: str, lo: int, hi: int, config: EvalConfig | None):

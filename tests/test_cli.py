@@ -87,7 +87,7 @@ class TestEval:
         from ptrig import pi_p
 
         cfg = tmp_path / "starved.cfg"
-        cfg.write_text("max_newton_iters = 2\n")
+        cfg.write_text("quad_levels = 1\n")
         code, _, err = run_cli(
             capsys, "eval", "sin_p", "--p", "1.5",
             "--x", str(0.4 * pi_p(1.5)), "--config", str(cfg),

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptrig.core as core
 from ptrig import (
+    ConvergenceError,
     DomainError,
     EvalConfig,
     PExponent,
@@ -23,8 +25,8 @@ from ptrig import (
     u_p,
     v_p,
 )
-from ptrig._fast_eval import fast_trig
-from ptrig.core import invert_quarter
+from ptrig._fast_eval import FastPTrig, fast_trig
+from ptrig.core import _cos_from_y, invert_quarter, reduce_argument
 
 from conftest import incomplete_F_oracle, sin_p_oracle
 
@@ -499,6 +501,100 @@ class TestFastEvaluatorAgreesWithNewton:
         pe = PExponent(p)
         assert np.max(np.abs(trig.sin_scaled(x) - sin_p(pe.pi_p * x, pe))) < 5e-12
         assert np.max(np.abs(trig.cos_scaled(x) - cos_p(pe.pi_p * x, pe))) < 5e-12
+
+    def test_series_only_table_serves_quarter_point(self):
+        # p >= 19 has no Chebyshev intervals: the series covers all of [0, 1/4]
+        pe = PExponent(20.0)
+        trig = fast_trig(pe.p)
+        assert trig._own.n_intervals == 0
+        y = invert_quarter(np.array([pe.pi_p / 4.0]), pe, seed=None)
+        assert abs(trig.sin_scaled(0.25) - y[0]) <= 1e-13
+        assert abs(trig.cos_scaled(0.25) - _cos_from_y(y, pe.p)[0]) <= 1e-13
+        assert abs(sin_p(pe.pi_p / 4.0, pe) - y[0]) <= 1e-13
+
+
+SEEDED_P = (1.1, 1.5, 3.0, 10.0)
+
+
+def _unseeded(x, pe):
+    """(sin_p, cos_p) through the public reduction, Newton from the classical sine."""
+    t, s_sign, c_sign = reduce_argument(np.asarray(x, dtype=float) / pe.pi_p)
+    y = invert_quarter(pe.pi_p * t, pe, seed=None)
+    return s_sign * y, c_sign * _cos_from_y(y, pe.p)
+
+
+def _both(x, pe):
+    return np.concatenate([sin_p(x, pe), cos_p(x, pe)])
+
+
+class TestTableSeededInversion:
+    """Public inversions start Newton from the cached table of p."""
+
+    @pytest.mark.parametrize("p", SEEDED_P)
+    def test_split_invariance(self, p):
+        pe = PExponent(p)
+        x = np.random.default_rng(31).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 40)
+        full = _both(x, pe)
+        halves = np.concatenate([sin_p(x[:17], pe), sin_p(x[17:], pe),
+                                 cos_p(x[:17], pe), cos_p(x[17:], pe)])
+        scalars = np.array([sin_p(float(v), pe) for v in x] + [cos_p(float(v), pe) for v in x])
+        assert np.array_equal(full, halves)
+        assert np.array_equal(full, scalars)
+
+    @pytest.mark.parametrize("p", SEEDED_P)
+    def test_cache_independence(self, p):
+        pe = PExponent(p)
+        x = np.random.default_rng(32).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 200)
+        fast_trig.cache_clear()
+        core._table_refused.cache_clear()
+        cold = _both(x, pe)
+        fast_trig(p)
+        warm = _both(x, pe)
+        assert np.array_equal(cold, warm)
+
+    @pytest.mark.parametrize("p", SEEDED_P)
+    def test_agrees_with_unseeded_newton(self, p):
+        pe = PExponent(p)
+        uniform = np.random.default_rng(33).uniform(0.0, pe.quarter, 300)
+        steep = pe.quarter * (1.0 - 10.0 ** -np.linspace(1.0, 15.5, 146))
+        for u in (uniform, steep):
+            assert np.max(np.abs(sin_p(u, pe) - invert_quarter(u, pe, seed=None))) <= 1e-13
+
+    def test_interior_points_take_one_or_two_rows(self, monkeypatch):
+        pe = PExponent(3.0)
+        sin_p(1.0, pe)  # the table is built outside the count
+        rows = []
+        original = core._incomplete_F_batch
+
+        def counted(y, *args):
+            rows.append(np.size(y))
+            return original(y, *args)
+
+        monkeypatch.setattr(core, "_incomplete_F_batch", counted)
+        u = np.random.default_rng(34).uniform(0.05, 0.95, 500) * pe.quarter
+        sin_p(u, pe)
+        assert sum(rows) <= 2 * u.size
+
+    @pytest.mark.parametrize("p", (30.0, 50.0))
+    def test_refused_table_falls_back_once(self, p, monkeypatch):
+        pe = PExponent(p)
+        builds = []
+        original = FastPTrig.__init__
+
+        def counted(self, q):
+            builds.append(q)
+            original(self, q)
+
+        monkeypatch.setattr(FastPTrig, "__init__", counted)
+        core._table_refused.cache_clear()
+        x = np.random.default_rng(35).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 100)
+        with pytest.raises(ConvergenceError):
+            fast_trig(p)
+        builds.clear()
+        s, c = _unseeded(x, pe)
+        assert np.array_equal(sin_p(x, pe), s)
+        assert np.array_equal(cos_p(x, pe), c)
+        assert builds == [p]
 
 
 def test_thread_safety_bitwise(rng):

@@ -189,6 +189,25 @@ class TestExpansion:
         assert residual < 1e-10
 
 
+@pytest.mark.parametrize(
+    "fn,args,message",
+    [
+        (apply_dilation, (unit(0, 2), 1.0), "apply_dilation requires an integer n >= 1, got 1.0"),
+        (isometry_check, (abs, 0, 2.0), "isometry_check requires an integer n >= 1, got 0"),
+        (build_truncated_operator, (1.5, 1),
+         "build_truncated_operator requires an integer N >= 2, got 1"),
+        (reconstruct_check, (1.5, 8, 8), "reconstruct_check requires an integer 0 <= n < 8, got 8"),
+        (reconstruct_check, (1.5, 0, 2.0), "reconstruct_check requires an integer N >= 2, got 2.0"),
+        (expand_in_pcosine, (unit(0, 2), 1.5, "4"),
+         "expand_in_pcosine requires an integer N >= 1, got '4'"),
+    ],
+)
+def test_index_checks_share_one_message(fn, args, message):
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
 class TestCosineVector:
     def test_validation(self):
         with pytest.raises(DomainError):
