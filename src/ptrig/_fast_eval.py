@@ -6,8 +6,10 @@ builds, once per exponent, piecewise Chebyshev tables of
 
     S_p(t) = sin_p(pi_p t),   t in [0, 1/4],
 
-for p and for its conjugate p'.  The quarter period splits at t = 1/4:
-the upper half is mapped to the lower half of the conjugate exponent via
+for p and for its conjugate p' (a table is cached per exponent, so
+fast_trig(p) and fast_trig(p') share theirs).  The quarter period splits
+at t = 1/4: the upper half is mapped to the lower half of the conjugate
+exponent via
 
     sin_p(pi_p t)  = cos_p'(pi_p' (1/2 - t))^(p'-1)
     cos_p(pi_p t)  = sin_p'(pi_p' (1/2 - t))^(p'-1)
@@ -99,14 +101,20 @@ class _QuarterTable:
         return out
 
 
+@lru_cache(maxsize=128)
+def _quarter_table(p: float) -> _QuarterTable:
+    """The table of one exponent, shared by fast_trig(p) and fast_trig(p')."""
+    return _QuarterTable(PExponent(p))
+
+
 class FastPTrig:
     """Vectorized sin_p(pi_p t), cos_p(pi_p t) for arbitrary real t."""
 
     def __init__(self, p: float):
         self.pexp = PExponent.of(p)
         self.conj = self.pexp.conjugate
-        self._own = _QuarterTable(self.pexp)
-        self._dual = _QuarterTable(self.conj)
+        self._own = _quarter_table(self.pexp.p)
+        self._dual = _quarter_table(self.conj.p)
         self._validate()
 
     def _quarter_sin(self, t):

@@ -26,7 +26,7 @@ from .config import DEFAULT_CONFIG, EvalConfig
 from .core import PExponent
 from .errors import ConvergenceError, DomainError
 from .fourier import KIND_COSINE, _check_index, _odd_coeffs
-from .quadrature import integrate_panels
+from .quadrature import graded_grid, halved_sum, integrate_panels
 
 
 @dataclass(eq=False)
@@ -107,29 +107,26 @@ def _periodic_even(g, x):
     return g(y)
 
 
-def _ls_norm_pow(f, s: float, breakpoints, config: EvalConfig | None = None) -> float:
-    """int_0^1 |f|^s over panels refined from 64 uniform cells plus breakpoints."""
+def _ls_norm_pow(f, s: float, edges, config: EvalConfig | None = None) -> float:
+    """int_0^1 |f|^s on the graded grid with breakpoints at the edges."""
     cfg = config or DEFAULT_CONFIG
-    edges = np.unique(
-        np.concatenate([np.linspace(0.0, 1.0, 65), np.asarray(breakpoints, float)])
-    )
-    value, _ = integrate_panels(
-        lambda x: np.abs(f(x)) ** s, edges, abs_tol=cfg.rel_tol
-    )
+    value, _ = integrate_panels(lambda x: np.abs(f(x)) ** s, edges, abs_tol=cfg.rel_tol)
     return value
 
 
 def isometry_check(g, n: int, s: float, config: EvalConfig | None = None) -> float:
     """|  ||M_n g||_s / ||g||_s  -  1 | for an integrable g given as a callable.
 
-    Both norms are computed by panel quadrature with panel edges aligned
-    to the fold points k/n of the periodic extension.
+    Both norms come from `integrate_panels`, the dilated one with
+    breakpoints at the fold points k/n of the periodic extension, so g
+    should be smooth inside (0, 1); an error estimate above
+    config.rel_tol raises ConvergenceError.
     """
     n = _check_index(n, 1, "isometry_check", "n")
     if not s > 1.0:
         raise DomainError(f"isometry_check requires s > 1, got {s!r}")
-    base = _ls_norm_pow(g, s, [], config)
-    folds = np.arange(1, n) / n
+    base = _ls_norm_pow(g, s, [0.0, 1.0], config)
+    folds = np.arange(n + 1) / n
     dilated = _ls_norm_pow(lambda x: _periodic_even(g, n * x), s, folds, config)
     if base <= 0.0:
         raise DomainError("isometry check requires a function with positive norm")
@@ -158,34 +155,28 @@ def build_truncated_operator(p, N: int, config: EvalConfig | None = None) -> Tru
 def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> float:
     """Max deviation of column n of the truncated operator from quadrature.
 
-    The direct route computes the cosine coefficients of cos_p(n pi_p x)
-    by panel quadrature (with the constant coefficient halved, matching
-    the coefficient-space convention of the operator columns).
+    The direct route samples cos_p(n pi_p x) once on a graded grid over
+    [0, 1] with breakpoints at the fold points j/(2n) and panels at most
+    1/(2N) wide, and forms each cosine coefficient k < N from those
+    samples times cos(k pi x), with the constant coefficient halved to
+    match the coefficient-space convention of the operator columns.  It
+    shares nothing with the banks' recurrence.  An error estimate above
+    config.rel_tol raises ConvergenceError.
     """
     pexp = PExponent.of(p)
     N = _check_index(N, 2, "reconstruct_check", "N")
     n = _check_index(n, 0, "reconstruct_check", "n", stop=N)
     cfg = config or DEFAULT_CONFIG
-    op = build_truncated_operator(pexp, N, config)
-    col = op.column(n)
-    trig = fast_trig(pexp.p)
+    col = build_truncated_operator(pexp, N, config).column(n)
     direct = np.zeros(N)
     if n == 0:
         direct[0] = 1.0
     else:
-        inner = np.arange(2 * n + 1, dtype=float) / (2.0 * n)
+        x, w, nc = graded_grid(np.arange(2 * n + 1) / (2.0 * n), 0.5 / N)
+        f = w * fast_trig(pexp.p).cos_scaled(n * x)
         for k in range(N):
-            if k == 0:
-                edges = inner
-            else:
-                edges = np.unique(
-                    np.concatenate([inner, np.arange(2 * k + 1, dtype=float) / (2.0 * k)])
-                )
-
-            def f(x, k=k):
-                return trig.cos_scaled(n * x) * np.cos(k * math.pi * x)
-
-            value, _ = integrate_panels(f, edges, abs_tol=cfg.rel_tol)
+            name = f"reconstruct_check coefficient {k}"
+            value, _ = halved_sum(f * np.cos(k * math.pi * x), nc, cfg.rel_tol, name)
             direct[k] = value if k == 0 else 2.0 * value
     return float(np.max(np.abs(col - direct)))
 

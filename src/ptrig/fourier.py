@@ -4,7 +4,7 @@ The sine coefficients a_j of sin_p(pi_p x) and cosine coefficients b_j of
 cos_p(pi_p x) vanish for even j by symmetry; odd j are computed as
 4 * int_0^(1/2) in banks, one per exponent, kind and tier (odd j <= 127,
 then odd j in (T/2, T] for T = 2^k - 1).  A bank samples the p-function
-once on a 16-point Gauss-Legendre grid over [0, 1/2] with panels
+once on the graded grid of ptrig.quadrature over [0, 1/2], with panels
 1/(2(T+1)) wide, a quarter oscillation of cos(T pi x), graded dyadically
 into both endpoint singularities; the classical rows follow from the
 three-term recurrence in j.  The value is the sum on the grid with every
@@ -36,7 +36,7 @@ from ._fast_eval import fast_trig
 from .config import DEFAULT_CONFIG, EvalConfig
 from .core import PExponent, c_p, check_exponent, pi_p
 from .errors import ConvergenceError, DomainError
-from .quadrature import gauss_rule
+from .quadrature import graded_grid
 from .thresholds import odd_reciprocal_sum
 
 PI = math.pi
@@ -73,7 +73,6 @@ class CriterionReport:
     holds: bool
 
 
-_GRADING = 40  # dyadic levels into each endpoint, down to 2^-40 of a panel
 _CHUNK = 16384  # table evaluations per call, to bound the temporaries
 
 
@@ -82,24 +81,6 @@ def _tier(j: int):
     (T/2, T] for T = 2^k - 1."""
     last = max(127, (1 << int(j).bit_length()) - 1)
     return (1 if last == 127 else last // 2 + 2), last
-
-
-def _tier_grid(last: int):
-    """(x, w, nc): 16-point Gauss-Legendre nodes and weights of a tier's
-    grid (the first nc) and of the same grid with every panel halved."""
-    h = 0.5 / (last + 1)
-    graded = h * 2.0 ** -np.arange(_GRADING, 0, -1)
-    edges = np.concatenate(
-        [[0.0], graded, h * np.arange(1, last + 1), 0.5 - graded[::-1], [0.5]]
-    )
-    halved = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    nodes, weights = gauss_rule(16)
-    xs, ws = [], []
-    for e in (edges, halved):
-        a, width = e[:-1, None], np.diff(e)[:, None]
-        xs.append((a + width * (nodes + 1.0) / 2.0).ravel())
-        ws.append((width / 2.0 * weights).ravel())
-    return np.concatenate(xs), np.concatenate(ws), xs[0].size
 
 
 def _seed_row(classical, j: int, x: np.ndarray) -> np.ndarray:
@@ -127,7 +108,7 @@ def _coeff_quadrature(p: float, j, kind: str):
         scaled, classical = trig.cos_scaled, np.cos
     else:
         scaled, classical = trig.sin_scaled, np.sin
-    x, w, nc = _tier_grid(last)
+    x, w, nc = graded_grid((0.0, 0.5), 0.5 / (last + 1))
     f = w * np.concatenate([scaled(x[i : i + _CHUNK]) for i in range(0, x.size, _CHUNK)])
     # row_{j+2} = 2 cos(2 pi x) row_j - row_{j-2}, from two seeded rows
     two_cos = 2.0 * np.cos(2.0 * PI * x)

@@ -1,72 +1,76 @@
-"""Gauss-Legendre rules and adaptive panel quadrature.
+"""The package's one quadrature: a graded composite Gauss-Legendre grid.
 
-`gauss_rule` serves the fixed coefficient-bank grids of ptrig.fourier.
-`integrate_panels` is the adaptive route of the operator cross-checks
-(`reconstruct_check`, the L_s norms of `isometry_check`): each panel is
-evaluated with a 16-point rule and re-evaluated on its two halves, the
-half-panel sum is kept as the value, the coarse/refined difference as
-the error estimate, and panels whose estimate exceeds their share of the
-budget are bisected further.  Mild algebraic endpoint singularities are
-absorbed by the bisection cascade.
+`graded_grid` splits each gap between sorted breakpoints into equal
+16-point Gauss-Legendre panels no wider than a given width, grades the
+panel next to each breakpoint dyadically down to 2^-40 of itself (which
+absorbs algebraic endpoint singularities), and returns the grid followed
+by the same grid with every panel halved.  The halved sum is the value,
+its gap to the unhalved sum the error estimate (`halved_sum`, which
+raises ConvergenceError when the estimate exceeds its tolerance).  The
+coefficient banks of ptrig.fourier and `reconstruct_check` sample their
+integrands on such a grid directly; `integrate_panels` serves one
+integrand.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 
 import numpy as np
 
+from .errors import ConvergenceError
 
-@lru_cache(maxsize=8)
-def gauss_rule(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _panel_estimates(f, a, h, nodes, weights):
-    """Coarse and half-panel integrals for panels [a_i, a_i + h_i]."""
-    scaled = (nodes + 1.0) / 2.0
-    xc = a[:, None] + h[:, None] * scaled[None, :]
-    xl = a[:, None] + (h[:, None] / 2.0) * scaled[None, :]
-    xr = a[:, None] + h[:, None] / 2.0 + (h[:, None] / 2.0) * scaled[None, :]
-    x = np.concatenate([xc, xl, xr], axis=1)
-    vals = f(x.ravel()).reshape(x.shape)
-    n = nodes.size
-    coarse = (h / 2.0) * (vals[:, :n] @ weights)
-    refined = (h / 4.0) * ((vals[:, n : 2 * n] + vals[:, 2 * n :]) @ weights)
-    return coarse, refined
+_GRADING = 40  # dyadic levels into each breakpoint, down to 2^-40 of a panel
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def integrate_panels(f, edges, abs_tol=1e-12, max_depth=48, points=16):
-    """Integrate a vectorized callable over the panels defined by `edges`.
+def graded_grid(breakpoints, width: float):
+    """(x, w, nc): nodes and weights of the graded grid over the sorted
+    breakpoints (the first nc) and of the same grid with every panel halved.
 
-    Returns (value, err_est).  err_est is the summed coarse/refined
-    discrepancy of the accepted panels; when max_depth is exhausted the
-    remaining discrepancy is folded into err_est rather than raised.
+    Each gap is cut into at least two equal panels no wider than width,
+    so the grading toward its two ends never meets.
     """
-    edges = np.asarray(edges, dtype=float)
-    nodes, weights = gauss_rule(points)
-    a = edges[:-1]
-    h = np.diff(edges)
-    total = edges[-1] - edges[0]
-    if total <= 0:
-        return 0.0, 0.0
-    value = 0.0
-    err = 0.0
-    for depth in range(max_depth + 1):
-        if a.size == 0:
-            break
-        coarse, refined = _panel_estimates(f, a, h, nodes, weights)
-        e = np.abs(refined - coarse)
-        done = e <= abs_tol * (h / total)
-        if depth == max_depth:
-            done = np.ones_like(done)
-        value += float(refined[done].sum())
-        err += float(e[done].sum())
-        keep = ~done
-        a = a[keep]
-        h = h[keep] / 2.0
-        a = np.concatenate([a, a + h])
-        h = np.concatenate([h, h])
+    b = np.asarray(breakpoints, dtype=float)
+    steps = 2.0 ** -np.arange(_GRADING, 0, -1)
+    parts = [b[:1]]
+    for a, c in zip(b[:-1], b[1:]):
+        n = max(2, math.ceil((c - a) / width))
+        h = (c - a) / n
+        parts += [a + h * steps, a + h * np.arange(1, n), c - (h * steps)[::-1], [c]]
+    edges = np.concatenate(parts)
+    halved = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    xs, ws = [], []
+    for e in (edges, halved):
+        a, span = e[:-1, None], np.diff(e)[:, None]
+        xs.append((a + span * (_NODES + 1.0) / 2.0).ravel())
+        ws.append((span / 2.0 * _WEIGHTS).ravel())
+    return np.concatenate(xs), np.concatenate(ws), xs[0].size
+
+
+def halved_sum(weighted, nc: int, abs_tol: float, name: str):
+    """(value, err_est) from weighted samples on a graded grid: the sum
+    over the halved grid and its gap to the sum over the first nc.
+
+    An estimate above abs_tol (or NaN) raises ConvergenceError naming
+    the integral.
+    """
+    value = float(weighted[nc:].sum())
+    err = abs(value - float(weighted[:nc].sum()))
+    if not err <= abs_tol:
+        raise ConvergenceError(
+            f"{name}: quadrature error estimate {err:.3e} exceeds {abs_tol:.3e}"
+        )
     return value, err
 
+
+def integrate_panels(f, edges, abs_tol=1e-12):
+    """(value, err_est) of the integral of a vectorized f over
+    [edges[0], edges[-1]], by `halved_sum`.
+
+    The edges are the breakpoints of a graded grid whose panels are no
+    wider than the widest gap between them; f is called once on it.
+    """
+    edges = np.asarray(edges, dtype=float)
+    x, w, nc = graded_grid(edges, float(np.max(np.diff(edges))))
+    return halved_sum(w * f(x), nc, abs_tol, "integrate_panels")

@@ -7,8 +7,9 @@ where
     h(p) = pi / (p^2 sin(pi/p)^2) * (2 + pi^2 (p-2)/2)
            * ((1 - 2^-p') zeta(p') - 1).
 
-Both are solved by a bracketed Newton iteration with a central-difference
-derivative and bisection safeguard; reruns are bitwise reproducible.
+Both are solved by halving a sign bracket until it holds two adjacent
+doubles, the rule that also ends `invert_quarter`; the root is the end
+with the smaller residual, and reruns are bitwise reproducible.
 Zeta itself uses the alternating (eta) series with Cohen-Rodriguez
 Villegas-Zagier acceleration at a fixed 64 terms, which is far below
 1e-13 relative error on the whole range of interest.
@@ -82,76 +83,27 @@ def upper_threshold_lhs(p: float) -> float:
     return PI / (p * p * s * s) * bracket * (odd_reciprocal_sum(conj) - 1.0)
 
 
-def _solve_bracketed(f, lo, hi, res_tol=5e-13, width_tol=1e-12, max_iters=200):
-    """Newton with numerical derivative, safeguarded by a sign bracket.
+def _solve_bracketed(f, lo, hi):
+    """Halve the sign bracket [lo, hi] of f until it holds two adjacent doubles.
 
-    The derivative is a central difference with step 1e-7.  A bisection
-    step replaces Newton when the iterate leaves the bracket or fails to
-    reduce the residual; after the residual converges, the bracket is
-    squeezed by sign probes until it is narrower than width_tol.
+    Returns the end with the smaller |f|.  iterations counts the halvings,
+    one f evaluation each, and trace holds the midpoints in order.
     """
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, (lo, lo), 0, (lo,))
-    if fhi == 0.0:
-        return RootResult(hi, 0.0, (hi, hi), 0, (hi,))
-    if flo * fhi > 0.0:
+    if not flo * fhi <= 0.0:  # NaN fails too
         raise BracketError(f"no sign change on [{lo}, {hi}]")
-    sign_lo = math.copysign(1.0, flo)
-    x = 0.5 * (lo + hi)
     trace = []
-    fx = f(x)
-    evals = 3
-    prev = abs(fx)
-    for _ in range(max_iters):
-        trace.append(x)
-        if math.copysign(1.0, fx) == sign_lo:
-            lo = x
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        fmid = f(mid)
+        trace.append(mid)
+        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
+            lo, flo = mid, fmid
         else:
-            hi = x
-        if abs(fx) <= res_tol:
-            break
-        h = 1e-7
-        dfdx = (f(x + h) - f(x - h)) / (2.0 * h)
-        evals += 2
-        use_bisect = dfdx == 0.0 or not math.isfinite(dfdx)
-        if not use_bisect:
-            x_new = x - fx / dfdx
-            use_bisect = not (lo < x_new < hi)
-        if use_bisect:
-            x_new = 0.5 * (lo + hi)
-        f_new = f(x_new)
-        evals += 1
-        if abs(f_new) > 0.5 * prev and not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-            f_new = f(x_new)
-            evals += 1
-        prev = abs(fx)
-        x, fx = x_new, f_new
-    else:
-        raise BracketError(f"root iteration failed to converge on [{lo}, {hi}]")
-    # squeeze the bracket around the converged root by sign probes
-    step = 0.5 * width_tol
-    while hi - lo > width_tol:
-        a, b = x - step, x + step
-        fa = f(a) if lo < a else flo
-        fb = f(b) if b < hi else fhi
-        evals += 2
-        if lo < a and math.copysign(1.0, fa) == sign_lo:
-            lo = max(lo, a)
-        if b < hi and math.copysign(1.0, fb) != sign_lo:
-            hi = min(hi, b)
-        if hi - lo > width_tol:
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            evals += 1
-            if math.copysign(1.0, fm) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-            if abs(fm) < abs(fx):
-                x, fx = mid, fm
-    return RootResult(x, fx, (lo, hi), evals, tuple(trace))
+            hi, fhi = mid, fmid
+        mid = 0.5 * (lo + hi)
+    root, residual = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    return RootResult(root, residual, (lo, hi), len(trace), tuple(trace))
 
 
 def solve_lower_threshold() -> RootResult:

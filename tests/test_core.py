@@ -25,7 +25,7 @@ from ptrig import (
     u_p,
     v_p,
 )
-from ptrig._fast_eval import FastPTrig, fast_trig
+from ptrig._fast_eval import FastPTrig, _quarter_table, fast_trig
 from ptrig.core import _cos_from_y, invert_quarter, reduce_argument
 
 from conftest import incomplete_F_oracle, sin_p_oracle
@@ -512,6 +512,11 @@ class TestFastEvaluatorAgreesWithNewton:
         assert abs(trig.cos_scaled(0.25) - _cos_from_y(y, pe.p)[0]) <= 1e-13
         assert abs(sin_p(pe.pi_p / 4.0, pe) - y[0]) <= 1e-13
 
+    def test_conjugate_exponents_share_tables(self):
+        # a table depends only on its exponent, so p and p' = p/(p-1) share a pair
+        assert fast_trig(3.0)._dual is fast_trig(1.5)._own
+        assert fast_trig(1.5)._dual is fast_trig(3.0)._own
+
 
 SEEDED_P = (1.1, 1.5, 3.0, 10.0)
 
@@ -546,6 +551,7 @@ class TestTableSeededInversion:
         pe = PExponent(p)
         x = np.random.default_rng(32).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 200)
         fast_trig.cache_clear()
+        _quarter_table.cache_clear()
         core._table_refused.cache_clear()
         cold = _both(x, pe)
         fast_trig(p)

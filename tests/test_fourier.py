@@ -25,7 +25,7 @@ from ptrig import (
     tail_remainder_bound,
 )
 from ptrig import fourier
-from ptrig._fast_eval import fast_trig
+from ptrig._fast_eval import _quarter_table, fast_trig
 from ptrig.fourier import (
     _coeff_quadrature,
     cosine_bound_large_p,
@@ -201,6 +201,7 @@ class TestQuadratureAgainstFFT:
 def _clear_coefficient_caches():
     fourier._coeff_cached.cache_clear()
     fast_trig.cache_clear()
+    _quarter_table.cache_clear()
 
 
 class TestCoefficientBank:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptrig import (
+    ConvergenceError,
     CosineVector,
     DomainError,
     apply_dilation,
@@ -73,6 +74,11 @@ class TestIsometry:
     def test_examples(self):
         assert isometry_check(lambda x: x, 3, 2.0) < 1e-8
         assert isometry_check(lambda x: np.cos(PI * x), 4, 3.0) < 1e-8
+
+    def test_unresolved_singularity_raises(self):
+        # |x^-0.4|^2 = x^-0.8 keeps ~1e-3 of its mass below the finest graded panel
+        with pytest.raises(ConvergenceError):
+            isometry_check(lambda x: x**-0.4, 1, 2.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -142,6 +148,13 @@ class TestReconstruct:
     @pytest.mark.parametrize("p,n", [(1.6, 2), (2.4, 5)])
     def test_two_routes(self, p, n):
         assert reconstruct_check(p, n, 32) < 1e-8
+
+    @pytest.mark.parametrize("p", (1.46, 2.42))
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_rounding_level_agreement(self, p, n):
+        # the ends of the benchmark's exponent range; both routes sum on
+        # graded grids, so they should agree to rounding
+        assert reconstruct_check(p, n, 32) <= 2e-15
 
     def test_constant_column(self):
         assert reconstruct_check(1.8, 0, 8) < 1e-12

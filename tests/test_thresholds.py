@@ -42,15 +42,18 @@ class TestZeta:
         assert bound - 0.3 < value < bound
 
     def test_integral_representation_oracle(self):
-        # (2/sqrt(pi)) int_0^40 t^(1/2)/(e^t - 1) dt, Gamma(3/2) = sqrt(pi)/2
-        def integrand(t):
-            t = np.asarray(t)
-            out = np.zeros_like(t)
-            pos = t > 0
-            out[pos] = np.sqrt(t[pos]) / np.expm1(t[pos])
+        # (2/sqrt(pi)) int_0^40 t^(1/2)/(e^t - 1) dt, Gamma(3/2) = sqrt(pi)/2;
+        # t = u^2 gives int_0^sqrt(40) 2 u^2/(e^(u^2) - 1) du, free of the
+        # t^(-1/2) endpoint that the graded grid certifies only to ~7e-9
+        def integrand(u):
+            u = np.asarray(u)
+            out = np.zeros_like(u)
+            pos = u > 0
+            out[pos] = 2.0 * u[pos] ** 2 / np.expm1(u[pos] ** 2)
             return out
 
-        val, _ = integrate_panels(integrand, np.linspace(0.0, 40.0, 81), abs_tol=1e-10)
+        edges = np.linspace(0.0, math.sqrt(40.0), 81)
+        val, _ = integrate_panels(integrand, edges, abs_tol=1e-10)
         assert zeta(1.5) == pytest.approx(2.0 / math.sqrt(PI) * val, rel=1e-8)
 
     def test_monotone_decreasing(self):
@@ -182,6 +185,26 @@ class TestSolveUpperThreshold:
         b = solve_upper_threshold()
         assert a.root == b.root
         assert a.trace == b.trace
+
+
+@pytest.mark.parametrize(
+    "solve,f",
+    [
+        (solve_lower_threshold, lambda p: lower_threshold_lhs(p) - LOWER_THRESHOLD_RHS),
+        (solve_upper_threshold, lambda p: upper_threshold_lhs(p) - 1.0),
+    ],
+)
+def test_bracket_is_adjacent_doubles(solve, f):
+    # the root is the end with the smaller |f|; iterations counts the
+    # halvings, one f evaluation each
+    result = solve()
+    lo, hi = result.bracket
+    assert np.nextafter(lo, np.inf) == hi
+    assert f(lo) * f(hi) <= 0.0
+    assert result.root == (lo if abs(f(lo)) <= abs(f(hi)) else hi)
+    assert result.residual == f(result.root)
+    assert abs(result.residual) <= 1e-14
+    assert result.iterations == len(result.trace)
 
 
 class TestZetaSandwich:
