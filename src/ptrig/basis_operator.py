@@ -160,8 +160,9 @@ def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> fl
     1/(2N) wide, and forms each cosine coefficient k < N from those
     samples times cos(k pi x), with the constant coefficient halved to
     match the coefficient-space convention of the operator columns.  It
-    shares nothing with the banks' recurrence.  An error estimate above
-    config.rel_tol raises ConvergenceError.
+    takes one plain sum per k and shares neither the banks' FFTs nor their
+    recurrence.  An error estimate above config.rel_tol raises
+    ConvergenceError.
     """
     pexp = PExponent.of(p)
     N = _check_index(N, 2, "reconstruct_check", "N")

@@ -6,10 +6,11 @@ cos_p(pi_p x) vanish for even j by symmetry; odd j are computed as
 then odd j in (T/2, T] for T = 2^k - 1).  A bank samples the p-function
 once on the graded grid of ptrig.quadrature over [0, 1/2], with panels
 1/(2(T+1)) wide, a quarter oscillation of cos(T pi x), graded dyadically
-into both endpoint singularities; the classical rows follow from the
-three-term recurrence in j.  The value is the sum on the grid with every
-panel halved, its gap to the unhalved sum the error estimate.  A
-coefficient depends only on (p, kind, j).
+into both endpoint singularities.  On the uniform panels the sums over j
+are one real FFT per Gauss-node column; on the graded end panels the
+classical rows follow from the three-term recurrence in j.  The value is
+the sum on the grid with every panel halved, its gap to the unhalved sum
+the error estimate.  A coefficient depends only on (p, kind, j).
 
 The decay bounds
 
@@ -36,7 +37,7 @@ from ._fast_eval import fast_trig
 from .config import DEFAULT_CONFIG, EvalConfig
 from .core import PExponent, c_p, check_exponent, pi_p
 from .errors import ConvergenceError, DomainError
-from .quadrature import graded_grid
+from .quadrature import GAUSS_OFFSETS, graded_grid, uniform_runs
 from .thresholds import odd_reciprocal_sum
 
 PI = math.pi
@@ -100,26 +101,44 @@ def _coeff_quadrature(p: float, j, kind: str):
     tier is computed from fresh samples, with no cache and no p = 2
     shortcut, so a coefficient comes out the same whichever indices are
     asked for alongside it.
+
+    On the uniform panels of each grid (panel r spanning (k + r + [0, 1])
+    h/k, see `uniform_runs`), node q of panel r contributes phase
+    pi j (k + r + eta_q) h/k.  With L = 4(T+1)k, L h/k = 2, so its r part
+    is the exact integer phase j r mod L: the sums over r for every j are
+    one real FFT of length L per node column, and a twiddle
+    e^(i pi j (k + eta_q) h/k) per column finishes them.  The cosine kind
+    keeps the real part, the sine kind the imaginary part.  The graded end
+    panels take the three-term recurrence in j.
     """
     js = np.asarray(j)
     first, last = _tier(js.max())
     trig = fast_trig(float(p))
     if kind == KIND_COSINE:
-        scaled, classical = trig.cos_scaled, np.cos
+        scaled, classical, part = trig.cos_scaled, np.cos, np.real
     else:
-        scaled, classical = trig.sin_scaled, np.sin
-    x, w, nc = graded_grid((0.0, 0.5), 0.5 / (last + 1))
+        scaled, classical, part = trig.sin_scaled, np.sin, np.imag
+    h = 0.5 / (last + 1)
+    x, w, nc = graded_grid((0.0, 0.5), h)
     f = w * np.concatenate([scaled(x[i : i + _CHUNK]) for i in range(0, x.size, _CHUNK)])
+    rows = np.arange(first, last + 1, 2)
+    sums = np.empty((rows.size, 2))  # (unhalved, halved) per j
+    graded = np.ones(x.size, dtype=bool)
+    for g, (k, run) in enumerate(uniform_runs(nc)):
+        graded[run] = False
+        panels = f[run].reshape(-1, GAUSS_OFFSETS.size)
+        spectrum = np.fft.rfft(panels, n=4 * (last + 1) * k, axis=0)[rows].conj()
+        twiddle = np.exp(1j * PI * np.outer(rows * (h / k), k + GAUSS_OFFSETS))
+        sums[:, g] = part(twiddle * spectrum).sum(axis=1)
+    weights = np.zeros((x.size, 2))  # one column per grid: one product gives both sums
+    weights[:nc, 0], weights[nc:, 1] = f[:nc], f[nc:]
+    x, weights = x[graded], weights[graded]
     # row_{j+2} = 2 cos(2 pi x) row_j - row_{j-2}, from two seeded rows
     two_cos = 2.0 * np.cos(2.0 * PI * x)
     prev, row = _seed_row(classical, first - 2, x), _seed_row(classical, first, x)
-    sums = np.empty(((last - first) // 2 + 1, 2))  # (unhalved, halved) per j
-    weighted = np.empty_like(x)
-    for i in range(len(sums)):
-        np.multiply(row, f, out=weighted)
-        sums[i] = weighted[:nc].sum(), weighted[nc:].sum()
-        np.multiply(two_cos, row, out=weighted)
-        prev, row = row, np.subtract(weighted, prev, out=prev)
+    for i in range(rows.size):
+        sums[i] += row @ weights
+        prev, row = row, np.subtract(two_cos * row, prev, out=prev)
     values = 4.0 * sums[:, 1]
     pick = (js - first) // 2
     return values[pick], np.abs(values - 4.0 * sums[:, 0])[pick]
@@ -131,16 +150,18 @@ def _coeff_cached(p: float, kind: str, last: int):
     return _coeff_quadrature(p, np.arange(_tier(last)[0], last + 1, 2), kind)
 
 
-def _check_index(j, first: int, name: str, var: str = "j", stop: int | None = None) -> int:
-    """j as an int, if it is an integer >= first (and < stop, when given).
+def _check_index(j, first: int, name: str, var: str = "j", stop=None, odd: bool = False) -> int:
+    """j as an int, if it is an integer (not a bool) >= first (and < stop,
+    when given; odd, when asked).
 
     Otherwise raises DomainError naming the caller and its range, e.g.
     "apply_dilation requires an integer n >= 1".
     """
-    if isinstance(j, (int, np.integer)) and j >= first and (stop is None or j < stop):
+    integer = isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+    if integer and j >= first and (stop is None or j < stop) and (j % 2 or not odd):
         return int(j)
     bounds = f"{var} >= {first}" if stop is None else f"{first} <= {var} < {stop}"
-    raise DomainError(f"{name} requires an integer {bounds}, got {j!r}")
+    raise DomainError(f"{name} requires an {'odd ' if odd else ''}integer {bounds}, got {j!r}")
 
 
 def _odd_coeffs(pexp: PExponent, kind: str, lo: int, hi: int, config: EvalConfig | None):
@@ -203,8 +224,7 @@ def coeff_table(p, j_max: int, kind: str = KIND_COSINE, config: EvalConfig | Non
     """Assemble a CoeffTable for 0 <= j <= j_max (sine tables start at 1)."""
     if kind not in (KIND_SINE, KIND_COSINE):
         raise DomainError(f"kind must be {KIND_SINE!r} or {KIND_COSINE!r}, got {kind!r}")
-    if j_max < 1:
-        raise DomainError(f"j_max must be at least 1, got {j_max!r}")
+    j_max = _check_index(j_max, 1, "coeff_table", "j_max")
     pexp = PExponent.of(p)
     values, errs = _odd_coeffs(pexp, kind, 1, j_max, config)
     entries = {j: (0.0, 0.0) for j in range(0 if kind == KIND_COSINE else 1, j_max + 1)}
@@ -215,8 +235,7 @@ def coeff_table(p, j_max: int, kind: str = KIND_COSINE, config: EvalConfig | Non
 def coeff_relation_check(p, j: int, config: EvalConfig | None = None) -> float:
     """Residual |b_j - (j pi/pi_p) a_j| from two independent quadratures."""
     pexp = PExponent.of(p)
-    if j % 2 == 0:
-        raise DomainError(f"relation check requires odd j, got {j!r}")
+    j = _check_index(j, 1, "coeff_relation_check", odd=True)
     b, _ = cosine_coeff(pexp, j, config)
     a, _ = sine_coeff(pexp, j, config)
     return abs(b - (j * PI / pexp.pi_p) * a)
@@ -241,10 +260,10 @@ def cosine_bound_large_p(p: float, j: int) -> float:
     return _large_p_prefactor(p) * float(j) ** (-(p / (p - 1.0)))
 
 
-def _worst_slack(bound, kind: str, p, first: int, J: int, config: EvalConfig | None) -> float:
-    """min over odd first <= j <= J of bound(p, j) minus the coefficient's modulus."""
-    if J < first:
-        raise DomainError(f"bound check requires J >= {first}, got {J!r}")
+def _worst_slack(bound, kind: str, p, first: int, J, config: EvalConfig | None, name: str):
+    """min over odd first <= j <= J of bound(p, j) minus the coefficient's
+    modulus; name is the public check, for the DomainError on a bad J."""
+    J = _check_index(J, first, name, "J")
     bounds = [bound(p, j) for j in range(first, J + 1, 2)]
     values, _ = _odd_coeffs(PExponent.of(p), kind, first, J, config)
     return min(b - abs(v) for b, v in zip(bounds, values.tolist()))
@@ -252,12 +271,12 @@ def _worst_slack(bound, kind: str, p, first: int, J: int, config: EvalConfig | N
 
 def bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |b_j|) over odd j <= J for 1 < p < 2."""
-    return _worst_slack(cosine_bound_small_p, KIND_COSINE, p, 1, J, config)
+    return _worst_slack(cosine_bound_small_p, KIND_COSINE, p, 1, J, config, "bound_check_small_p")
 
 
 def bound_check_large_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |b_j|) over odd 3 <= j <= J for p > 2."""
-    return _worst_slack(cosine_bound_large_p, KIND_COSINE, p, 3, J, config)
+    return _worst_slack(cosine_bound_large_p, KIND_COSINE, p, 3, J, config, "bound_check_large_p")
 
 
 def _odd_partial_sum(q: float, J: int) -> float:
@@ -275,8 +294,7 @@ def tail_remainder_bound(p: float, J: int) -> float:
     single nonzero coefficient and returns 0.
     """
     p = check_exponent(p, "tail_remainder_bound")
-    if J < 3 or J % 2 == 0:
-        raise DomainError(f"tail bound requires odd J >= 3, got {J!r}")
+    J = _check_index(J, 3, "tail_remainder_bound", "J", odd=True)
     if p == 2.0:
         return 0.0
     if p < 2.0:
@@ -297,8 +315,7 @@ def basis_criterion(p, J: int = 999, config: EvalConfig | None = None) -> Criter
     at this truncation.
     """
     pexp = PExponent.of(p)
-    if J < 3 or J % 2 == 0:
-        raise DomainError(f"basis criterion requires odd J >= 3, got {J!r}")
+    J = _check_index(J, 3, "basis_criterion", "J", odd=True)
     values, errs = _odd_coeffs(pexp, KIND_COSINE, 1, J, config)
     b1 = float(values[0])
     tail = float(np.sum(np.abs(values[1:])))
@@ -327,6 +344,7 @@ def compare_bounds(p: float, J: int = 199, config: EvalConfig | None = None):
     re-checked and raise if violated.
     """
     p = check_exponent(p, "compare_bounds")
+    J = _check_index(J, 3, "compare_bounds", "J")
     if p == 2.0:
         raise DomainError("compare_bounds requires p != 2 (pick a branch)")
     pip = pi_p(p)

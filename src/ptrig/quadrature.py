@@ -8,8 +8,8 @@ by the same grid with every panel halved.  The halved sum is the value,
 its gap to the unhalved sum the error estimate (`halved_sum`, which
 raises ConvergenceError when the estimate exceeds its tolerance).  The
 coefficient banks of ptrig.fourier and `reconstruct_check` sample their
-integrands on such a grid directly; `integrate_panels` serves one
-integrand.
+integrands on such a grid directly (`uniform_runs` tells the banks which
+nodes lie on uniform panels); `integrate_panels` serves one integrand.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import ConvergenceError
 
 _GRADING = 40  # dyadic levels into each breakpoint, down to 2^-40 of a panel
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+GAUSS_OFFSETS = (_NODES + 1.0) / 2.0  # node positions within a panel, in panel widths
 
 
 def graded_grid(breakpoints, width: float):
@@ -43,9 +44,23 @@ def graded_grid(breakpoints, width: float):
     xs, ws = [], []
     for e in (edges, halved):
         a, span = e[:-1, None], np.diff(e)[:, None]
-        xs.append((a + span * (_NODES + 1.0) / 2.0).ravel())
+        xs.append((a + span * GAUSS_OFFSETS).ravel())
         ws.append((span / 2.0 * _WEIGHTS).ravel())
     return np.concatenate(xs), np.concatenate(ws), xs[0].size
+
+
+def uniform_runs(nc: int):
+    """The uniform panels of a one-gap graded grid with nc unhalved nodes.
+
+    For the grid of graded_grid((a, c), width) whose gap is cut into panels
+    of width h, returns (k, run) for the unhalved grid (k = 1) and the halved
+    grid (k = 2): x[run] are that grid's nodes on uniform panels as a
+    (panel, node) block, panel r spanning a + (k + r + [0, 1]) h / k, and
+    node i sitting at GAUSS_OFFSETS[i] of its panel.  The other nodes of
+    each grid lie on the graded panels of its two ends.
+    """
+    ends = (_GRADING + 1) * _NODES.size  # nodes on one end's graded panels, unhalved
+    return (1, slice(ends, nc - ends)), (2, slice(nc + 2 * ends, 3 * nc - 2 * ends))
 
 
 def halved_sum(weighted, nc: int, abs_tol: float, name: str):

@@ -47,8 +47,7 @@ def sobolev_partial(p, rho: float, J: int, config: EvalConfig | None = None) -> 
     """Partial sum of (1 + j^2)^rho a_j^2 over odd j <= J."""
     if not rho >= 0.0:
         raise DomainError(f"sobolev_partial requires rho >= 0, got {rho!r}")
-    if J < 1:
-        raise DomainError(f"sobolev_partial requires J >= 1, got {J!r}")
+    J = _check_index(J, 1, "sobolev_partial", "J")
     a, _ = _odd_coeffs(PExponent.of(p), KIND_SINE, 1, J, config)
     js = np.arange(1, J + 1, 2, dtype=float)
     return float(np.sum((1.0 + js * js) ** rho * a * a))
@@ -72,12 +71,12 @@ def sine_bound_large_p(p: float, j: int) -> float:
 
 def sine_bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |a_j|) over odd j <= J for 1 < p < 2."""
-    return _worst_slack(sine_bound_small_p, KIND_SINE, p, 1, J, config)
+    return _worst_slack(sine_bound_small_p, KIND_SINE, p, 1, J, config, "sine_bound_check_small_p")
 
 
 def sine_bound_check_large_p(p: float, J: int, config: EvalConfig | None = None) -> float:
     """Worst slack (bound - |a_j|) over odd 3 <= j <= J for p > 2."""
-    return _worst_slack(sine_bound_large_p, KIND_SINE, p, 3, J, config)
+    return _worst_slack(sine_bound_large_p, KIND_SINE, p, 3, J, config, "sine_bound_check_large_p")
 
 
 def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:
@@ -87,8 +86,7 @@ def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:
     than eight usable points (the classical p = 2 case in particular)
     raise InsufficientCoefficients.
     """
-    if Jmax < 51:
-        raise DomainError(f"decay_slope requires Jmax >= 51, got {Jmax!r}")
+    Jmax = _check_index(Jmax, 51, "decay_slope", "Jmax")
     pexp = PExponent.of(p)
     a, _ = _odd_coeffs(pexp, KIND_SINE, 11, Jmax, config)
     js = np.arange(11, Jmax + 1, 2, dtype=float)
@@ -104,6 +102,7 @@ def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:
 def regularity_report(p, rho: float, J: int, config: EvalConfig | None = None) -> RegularityReport:
     """Bundle the weighted partial sum, decay slope, and threshold order."""
     pexp = PExponent.of(p)
+    J = _check_index(J, 1, "regularity_report", "J")
     partial = sobolev_partial(pexp, rho, J, config)
     try:
         slope = decay_slope(pexp, max(J, 51), config)

@@ -31,6 +31,7 @@ from ptrig.fourier import (
     cosine_bound_large_p,
     cosine_bound_small_p,
 )
+from ptrig.quadrature import graded_grid
 
 from conftest import cosine_coeffs_fft, odd_sum_oracle
 
@@ -80,6 +81,32 @@ class TestParity:
             cosine_coeff(1.5, -1)
         with pytest.raises(DomainError):
             sine_coeff(1.5, 0)
+
+
+# A float or bool index is refused by name, as the operator's N is.  (A
+# bool where the lowest index is 3 or more was already out of range.)
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (basis_criterion, (1.5, 999.0)),
+        (coeff_table, (1.5, 10.5)),
+        (coeff_table, (1.5, True)),
+        (bound_check_small_p, (1.5, 99.5)),
+        (bound_check_small_p, (1.5, True)),
+        (bound_check_large_p, (3.0, 99.0)),
+        (tail_remainder_bound, (1.5, 99.0)),
+        (compare_bounds, (1.5, 199.0)),
+        (coeff_relation_check, (1.5, 3.0)),
+        (coeff_relation_check, (1.5, True)),
+        (cosine_coeff, (1.5, True)),
+        (sine_coeff, (1.5, True)),
+        (cosine_bound_small_p, (1.5, True)),
+    ],
+    ids=lambda v: repr(v) if not callable(v) else v.__name__,
+)
+def test_float_and_bool_indices_refused(call, args):
+    with pytest.raises(DomainError, match=rf"^{call.__name__} requires an (odd )?integer"):
+        call(*args)
 
 
 class TestDecayBoundExamples:
@@ -196,6 +223,42 @@ class TestQuadratureAgainstFFT:
         table = coeff_table(p, 1023, KIND_COSINE)
         worst = max(abs(table.entries[j][0] - coeffs[j]) for j in range(1, 1024, 2))
         assert worst < 1e-11
+
+
+class TestBankAgainstDirectSum:
+    """The bank's FFT sums against the plain sum on the same graded grid.
+
+    Same samples, same nodes, same halving rule: only the summation
+    differs, so the two agree to rounding.  A panel-offset or twiddle
+    error of order 1e-13 would pass the FFT-oracle test above but not
+    this one.
+    """
+
+    @staticmethod
+    def _direct(p, kind, last):
+        trig = fast_trig(p)
+        scaled, classical = (
+            (trig.cos_scaled, np.cos) if kind == KIND_COSINE else (trig.sin_scaled, np.sin)
+        )
+        x, w, nc = graded_grid((0.0, 0.5), 0.5 / (last + 1))
+        f = w * scaled(x)
+        xh = np.floor(x * 2.0**30) / 2.0**30  # j * xh is exact
+        js = np.arange(1 if last == 127 else last // 2 + 2, last + 1, 2)
+        values, errs = np.empty(js.size), np.empty(js.size)
+        for i, j in enumerate(js):
+            weighted = f * classical(PI * (np.fmod(j * xh, 2.0) + j * (x - xh)))
+            values[i] = 4.0 * weighted[nc:].sum()
+            errs[i] = abs(values[i] - 4.0 * weighted[:nc].sum())
+        return js, values, errs
+
+    @pytest.mark.parametrize("kind", (KIND_COSINE, KIND_SINE))
+    @pytest.mark.parametrize("p", (1.1, 2.41))
+    @pytest.mark.parametrize("last", (127, 1023))
+    def test_every_odd_index_of_tier(self, p, kind, last):
+        js, values, errs = self._direct(p, kind, last)
+        bank_values, bank_errs = _coeff_quadrature(p, js, kind)
+        assert np.max(np.abs(bank_values - values)) < 2e-15
+        assert np.max(np.abs(bank_errs - errs)) < 2e-15
 
 
 def _clear_coefficient_caches():

@@ -21,6 +21,27 @@ from ptrig.regularity import sine_bound_large_p, sine_bound_small_p
 PI = math.pi
 
 
+# A float or bool truncation index is refused by name.  (A bool below
+# decay_slope's lowest Jmax of 51 was already out of range.)
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (sobolev_partial, (1.5, 1.0, 10.5)),
+        (sobolev_partial, (1.5, 1.0, True)),
+        (regularity_report, (1.5, 1.0, 199.0)),
+        (regularity_report, (1.5, 1.0, True)),
+        (decay_slope, (1.5, 51.0)),
+        (sine_bound_check_small_p, (1.5, 99.5)),
+        (sine_bound_check_small_p, (1.5, True)),
+        (sine_bound_check_large_p, (3.0, 99.0)),
+    ],
+    ids=lambda v: repr(v) if not callable(v) else v.__name__,
+)
+def test_float_and_bool_indices_refused(call, args):
+    with pytest.raises(DomainError, match=rf"^{call.__name__} requires an integer"):
+        call(*args)
+
+
 class TestSobolevPartial:
     def test_classical_single_mode(self):
         # only a_1 = 1 survives and carries weight (1 + 1)^rho
