@@ -8,16 +8,20 @@ e_j -> e_nj.  The change-of-coordinates operator
 
 maps the classical cosines e_n onto the p-cosines cos_p(n pi_p x).  Its
 N x N truncation in coefficient space is sparse: column n >= 1 has an
-entry b_m(p) in row k exactly when k = m n with odd m.  Whenever the
-basis criterion holds the truncation is diagonally dominant per column
-and can be inverted by forward substitution along the divisibility
-order, which is how functions are expanded in the p-cosine system.
+entry b_m(p) in row k exactly when k = m n with odd m.  Its nonzeros
+are stored once, as column-major index arrays.  The truncation is lower
+triangular with b_1(p) on the diagonal, so it is inverted by a sieve
+over its columns: once c_n is known, c_n times column n is subtracted
+from the rows below the diagonal.  That is how functions are expanded
+in the p-cosine system; it needs b_1(p) != 0, which the basis
+criterion implies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,6 +49,8 @@ class CosineVector:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.ndim != 1 or self.coeffs.size < 1:
             raise DomainError("CosineVector requires a 1-d sequence of length >= 1")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise DomainError("CosineVector requires finite coefficients")
 
     def __len__(self):
         return self.coeffs.size
@@ -52,32 +58,45 @@ class CosineVector:
 
 @dataclass(eq=False)
 class TruncatedBasisOp:
-    """Sparse N x N truncation of the change-of-coordinates operator."""
+    """Sparse N x N truncation of the change-of-coordinates operator.
+
+    The nonzeros are stored once, column by column: entry i sits at
+    (rows[i], cols[i]) with value vals[i], and column n is the slice
+    starts[n]:starts[n+1], its diagonal entry first.
+    """
 
     p: float
     N: int
-    entries: dict = field(default_factory=dict)
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def entries(self):
+        """Read-only {(row, col): value} view of the nonzeros, in storage order.
+
+        It is built from the arrays on each access; take it once per use.
+        """
+        keys = zip(self.rows.tolist(), self.cols.tolist())
+        return MappingProxyType(dict(zip(keys, self.vals.tolist())))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.N, self.N))
-        for (k, n), value in self.entries.items():
-            out[k, n] = value
+        out[self.rows, self.cols] = self.vals
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.N,):
             raise DomainError(f"matvec expects a vector of length {self.N}")
-        out = np.zeros(self.N)
-        for (k, n), value in self.entries.items():
-            out[k] += value * v[n]
-        return out
+        return np.bincount(self.rows, self.vals * v[self.cols], minlength=self.N)
 
     def column(self, n: int) -> np.ndarray:
+        n = _check_index(n, 0, "column", "n", stop=self.N)
         out = np.zeros(self.N)
-        for (k, m), value in self.entries.items():
-            if m == n:
-                out[k] = value
+        part = slice(self.starts[n], self.starts[n + 1])
+        out[self.rows[part]] = self.vals[part]
         return out
 
 
@@ -89,14 +108,10 @@ def apply_dilation(v: CosineVector, n: int, cap: int | None = None) -> CosineVec
     """
     n = _check_index(n, 1, "apply_dilation", "n")
     N = len(v)
-    out_len = n * (N - 1) + 1 if cap is None else int(cap)
-    if out_len < 1:
-        raise DomainError(f"dilation cap must be >= 1, got {cap!r}")
+    out_len = n * (N - 1) + 1 if cap is None else _check_index(cap, 1, "apply_dilation", "cap")
+    take = min(N, (out_len - 1) // n + 1)
     out = np.zeros(out_len)
-    out[0] = v.coeffs[0]
-    for j in range(1, N):
-        if n * j < out_len:
-            out[n * j] = v.coeffs[j]
+    out[: n * take : n] = v.coeffs[:take]
     return CosineVector(out, dc_halved=v.dc_halved)
 
 
@@ -142,14 +157,15 @@ def build_truncated_operator(p, N: int, config: EvalConfig | None = None) -> Tru
     """
     pexp = PExponent.of(p)
     N = _check_index(N, 2, "build_truncated_operator", "N")
-    entries = {(0, 0): 1.0}
-    values = _odd_coeffs(pexp, KIND_COSINE, 1, N - 1, config)[0].tolist()
-    for n in range(1, N):
-        m = 1
-        while m * n < N:
-            entries[(m * n, n)] = values[m // 2]
-            m += 2
-    return TruncatedBasisOp(p=pexp.p, N=N, entries=entries)
+    values = _odd_coeffs(pexp, KIND_COSINE, 1, N - 1, config)[0]
+    counts = np.r_[1, ((N - 1) // np.arange(1, N) + 1) // 2]
+    starts = np.r_[0, np.cumsum(counts)]
+    cols = np.repeat(np.arange(N), counts)
+    half = np.arange(starts[-1]) - starts[cols]  # (m - 1) / 2 for the odd multiplier m
+    vals = values[half]
+    vals[0] = 1.0
+    rows = (2 * half + 1) * cols
+    return TruncatedBasisOp(p=pexp.p, N=N, rows=rows, cols=cols, vals=vals, starts=starts)
 
 
 def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> float:
@@ -185,32 +201,32 @@ def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> fl
 def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None = None):
     """Solve the truncated system A c = fhat for p-cosine coordinates.
 
-    Forward substitution in increasing index order: row k couples c_k to
-    the coefficients at proper divisors k/m (odd m >= 3) only.  Returns
+    A sieve over the columns of the truncated operator in increasing
+    order: row n has received every off-diagonal term by the time column
+    n is reached, so c_n = (its remainder) / b_1, and column n times c_n
+    is then subtracted from the rows below the diagonal.  Returns
     (CosineVector, residual) where the residual is the max-norm defect of
-    the truncated system.  A first coefficient below 1e-8 in magnitude
-    makes the truncation numerically singular and is reported.
+    the truncated system, taken with the same operator.  A first
+    coefficient below 1e-8 in magnitude makes the truncation numerically
+    singular and is reported.
     """
     pexp = PExponent.of(p)
     N = _check_index(N, 1, "expand_in_pcosine", "N")
     rhs = np.zeros(N)
     take = min(N, len(fhat))
     rhs[:take] = fhat.coeffs[:take]
-    b = _odd_coeffs(pexp, KIND_COSINE, 1, max(N - 1, 1), config)[0].tolist()
-    b1 = b[0]
+    b1 = _odd_coeffs(pexp, KIND_COSINE, 1, 1, config)[0][0]
     if abs(b1) < 1e-8:
         raise ConvergenceError(
             f"truncated operator is numerically singular: |b_1| = {abs(b1):.3e}"
         )
-    c = np.zeros(N)
-    if N > 0:
-        c[0] = rhs[0]
-    for k in range(1, N):
-        acc = rhs[k]
-        for m in range(3, k + 1, 2):
-            if k % m == 0:
-                acc -= b[m // 2] * c[k // m]
-        c[k] = acc / b1
-    op = build_truncated_operator(pexp, N, config) if N >= 2 else None
-    residual = float(np.max(np.abs(op.matvec(c) - rhs))) if op else 0.0
+    if N == 1:
+        return CosineVector(rhs, dc_halved=fhat.dc_halved), 0.0
+    op = build_truncated_operator(pexp, N, config)
+    acc, starts = rhs.copy(), op.starts.tolist()
+    for n in range(1, N):
+        below = slice(starts[n] + 1, starts[n + 1])  # column n without its diagonal
+        acc[op.rows[below]] -= op.vals[below] * (acc[n] / b1)
+    c = np.r_[rhs[0], acc[1:] / b1]
+    residual = float(np.max(np.abs(op.matvec(c) - rhs)))
     return CosineVector(c, dc_halved=fhat.dc_halved), residual

@@ -94,20 +94,28 @@ def _write(records, args):
 def _load_config(args) -> EvalConfig:
     values = {}
     if getattr(args, "config", None):
-        with open(args.config) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, _, raw = line.partition("=")
-                values[key.strip()] = raw.strip()
+        try:
+            with open(args.config) as handle:
+                lines = handle.readlines()
+        except OSError as exc:
+            raise DomainError(f"cannot read config file {args.config!r}: {exc.strerror}") from None
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#") or "=" not in line:
+                continue
+            key, _, raw = line.partition("=")
+            values[key.strip()] = raw.strip()
     kwargs = {}
-    for key in ("rel_tol", "abs_tol"):
+    for key, kind in (("rel_tol", float), ("abs_tol", float),
+                      ("max_newton_iters", int), ("quad_levels", int)):
         if key in values:
-            kwargs[key] = float(values[key])
-    for key in ("max_newton_iters", "quad_levels"):
-        if key in values:
-            kwargs[key] = int(values[key])
+            try:
+                kwargs[key] = kind(values[key])
+            except ValueError:
+                raise DomainError(
+                    f"config key {key} requires {'a number' if kind is float else 'an integer'}, "
+                    f"got {values[key]!r}"
+                ) from None
     if getattr(args, "tol", None) is not None:
         kwargs["rel_tol"] = args.tol
     return EvalConfig(**kwargs) if kwargs else DEFAULT_CONFIG
@@ -221,18 +229,11 @@ def _cmd_regularity(args, cfg, stamp):
 def _cmd_operator(args, cfg, stamp):
     params = {"p": args.p, "N": args.N, "action": args.action}
     if args.action == "build":
-        op = bop.build_truncated_operator(args.p, args.N, cfg)
-        records = []
-        for (k, n) in sorted(op.entries):
-            rec = _record(
-                "operator",
-                {**params, "k": k, "n": n},
-                {"value": op.entries[(k, n)]},
-                cfg,
-                stamp,
-            )
-            records.append(rec)
-        return records
+        entries = bop.build_truncated_operator(args.p, args.N, cfg).entries
+        return [
+            _record("operator", {**params, "k": k, "n": n}, {"value": entries[k, n]}, cfg, stamp)
+            for k, n in sorted(entries)
+        ]
     if args.action == "reconstruct":
         dev = bop.reconstruct_check(args.p, args.n, args.N, cfg)
         return [_record("operator", {**params, "n": args.n}, {"max_abs_dev": dev}, cfg, stamp)]

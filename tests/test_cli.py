@@ -186,6 +186,16 @@ class TestOperatorCommand:
         (rec,) = parse_ndjson(out)
         assert rec["results"]["coeffs"] == [0.0, 1.0, 0.0, 2.0]
 
+    @pytest.mark.parametrize("vector", ("nan,1", "1,inf"))
+    def test_expand_rejects_non_finite_vector(self, capsys, vector):
+        code, out, err = run_cli(
+            capsys, "operator", "--p", "1.7", "--N", "4", "--action", "expand",
+            "--vector", vector,
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "finite" in err
+
     def test_reconstruct(self, capsys):
         code, out, _ = run_cli(
             capsys, "operator", "--p", "1.6", "--N", "8", "--action", "reconstruct",
@@ -239,6 +249,26 @@ class TestReproducibility:
         )
         (rec,) = parse_ndjson(out)
         assert rec["config"]["rel_tol"] == 1e-9
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("max_newton_iters = 1.5\n",
+             "config key max_newton_iters requires an integer, got '1.5'"),
+            ("rel_tol = abc\n", "config key rel_tol requires a number, got 'abc'"),
+            (None, "cannot read config file"),
+        ],
+    )
+    def test_bad_config_is_domain_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "settings.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(
+            capsys, "eval", "sin_p", "--p", "2", "--x", "0.3", "--config", str(cfg)
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert message in err
 
 
 class TestSchemaConformance:

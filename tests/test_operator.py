@@ -29,6 +29,9 @@ def unit(n, size):
     return CosineVector(v)
 
 
+OP8 = build_truncated_operator(1.5, 8)
+
+
 class TestApplyDilation:
     def test_moves_single_mode(self):
         out = apply_dilation(unit(1, 4), 3)
@@ -136,6 +139,22 @@ class TestTruncatedOperator:
                 assert abs(dense[n, n]) == pytest.approx(b1, abs=1e-15)
                 assert b1 > off
 
+    @pytest.mark.parametrize("N", (2, 3, 64))
+    def test_arrays_match_definition(self, N):
+        p = 1.83
+        op = build_truncated_operator(p, N)
+        expected = {(0, 0): 1.0}
+        for n in range(1, N):
+            for m in range(1, N // n + 1, 2):
+                if m * n < N:
+                    expected[(m * n, n)] = cosine_coeff(p, m)[0]
+        assert op.entries == expected
+        dense = op.to_dense()
+        for n in range(N):
+            assert op.column(n).tobytes() == dense[:, n].tobytes()
+        v = np.random.default_rng(N).standard_normal(N)
+        assert np.allclose(op.matvec(v), dense @ v, rtol=1e-15, atol=1e-15)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             build_truncated_operator(1.5, 1)
@@ -191,15 +210,34 @@ class TestExpansion:
         assert np.max(np.abs(coeffs.coeffs - expected)) < 1e-7
         assert residual < 1e-12
 
+    @pytest.mark.parametrize("p", (1.46, 1.83, 2.41))
+    def test_matches_divisor_substitution(self, p, rng):
+        # the sieve subtracts a row's terms in reverse divisor order, so it
+        # agrees with plain forward substitution to rounding only
+        N = 256
+        fhat = CosineVector(rng.standard_normal(N) * np.arange(1, N + 1) ** -1.5)
+        b = [cosine_coeff(p, j)[0] for j in range(N)]
+        c = np.zeros(N)
+        c[0] = fhat.coeffs[0]
+        for k in range(1, N):
+            acc = fhat.coeffs[k]
+            for m in range(3, k + 1, 2):
+                if k % m == 0:
+                    acc -= b[m] * c[k // m]
+            c[k] = acc / b[1]
+        coeffs, residual = expand_in_pcosine(fhat, p, N)
+        assert np.max(np.abs(coeffs.coeffs - c)) <= 1e-15
+        assert residual <= 1e-15
+
     @pytest.mark.parametrize("p", (1.6, 1.9, 2.2, 2.4))
     def test_inverts_apply(self, p, rng):
-        N = 24
-        op = build_truncated_operator(p, N)
-        vec = rng.standard_normal(N)
-        fhat = CosineVector(op.matvec(vec))
-        coeffs, residual = expand_in_pcosine(fhat, p, N)
-        assert np.max(np.abs(coeffs.coeffs - vec)) < 1e-7
-        assert residual < 1e-10
+        for N in (24, 1024):
+            op = build_truncated_operator(p, N)
+            vec = rng.standard_normal(N)
+            fhat = CosineVector(op.matvec(vec))
+            coeffs, residual = expand_in_pcosine(fhat, p, N)
+            assert np.max(np.abs(coeffs.coeffs - vec)) < 1e-7
+            assert residual < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -213,6 +251,14 @@ class TestExpansion:
         (reconstruct_check, (1.5, 0, 2.0), "reconstruct_check requires an integer N >= 2, got 2.0"),
         (expand_in_pcosine, (unit(0, 2), 1.5, "4"),
          "expand_in_pcosine requires an integer N >= 1, got '4'"),
+        (apply_dilation, (unit(0, 2), 2, 2.7),
+         "apply_dilation requires an integer cap >= 1, got 2.7"),
+        (apply_dilation, (unit(0, 2), 2, True),
+         "apply_dilation requires an integer cap >= 1, got True"),
+        (OP8.column, (8,), "column requires an integer 0 <= n < 8, got 8"),
+        (OP8.column, (-1,), "column requires an integer 0 <= n < 8, got -1"),
+        (OP8.column, (2.5,), "column requires an integer 0 <= n < 8, got 2.5"),
+        (OP8.column, (True,), "column requires an integer 0 <= n < 8, got True"),
     ],
 )
 def test_index_checks_share_one_message(fn, args, message):
@@ -227,6 +273,9 @@ class TestCosineVector:
             CosineVector(np.zeros((2, 2)))
         with pytest.raises(DomainError):
             CosineVector(np.array([]))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                CosineVector(np.array([1.0, bad]))
 
     def test_flag_propagates(self):
         v = CosineVector(np.array([1.0, 2.0]), dc_halved=False)
