@@ -19,10 +19,11 @@ near machine precision.  The tables grade dyadically toward t = 0, where
 sin_p has a u^(p+1) branch point, and switch to a three-term series once
 the truncation error of the series is below 1e-17.  Table nodes are
 produced by the safeguarded Newton inversion started from the classical
-sine, which keeps this layer a pure cache: construction is probed
-against the Newton values and refuses (ConvergenceError) to serve a
-table that disagrees.  The public functions start the same inversion
-from these tables, so a table never depends on itself.
+sine, so no table value depends on a table.  Construction is probed at
+33 points: Newton started from the table itself runs until its residual
+test accepts, which certifies the reference whatever the start, and a
+table that disagrees with the reference is refused (ConvergenceError).
+The public functions start the same inversion from these tables.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ from .errors import ConvergenceError
 
 _DEG = 30  # Chebyshev degree per dyadic interval
 _T_TOP = 0.25
+# Chebyshev points of one interval, and chebfit's column-scaled design
+# matrix for them: every interval solves one least-squares problem with it
+_REF = np.cos(np.pi * (np.arange(_DEG + 1) + 0.5) / (_DEG + 1))
+_VAN = chebyshev.chebvander(_REF, _DEG)
+_SCALE = np.sqrt(np.square(_VAN.T).sum(1))
+_FIT = _VAN / _SCALE
+_RCOND = _REF.size * np.finfo(float).eps
 
 
 class _QuarterTable:
@@ -57,20 +65,23 @@ class _QuarterTable:
             self.n_intervals = 0
             self.t_floor = _T_TOP
             self.coefs = np.zeros((0, _DEG + 1))
+            self._rows = self.coefs.T
             return
         self.n_intervals = max(1, math.ceil(math.log2(_T_TOP / t_series)))
         self.t_floor = _T_TOP * 2.0 ** (-self.n_intervals)
         k = np.arange(self.n_intervals)
         his = _T_TOP * 2.0 ** (-k)
         los = his / 2.0
-        theta = np.pi * (np.arange(_DEG + 1) + 0.5) / (_DEG + 1)
-        ref = np.cos(theta)
-        nodes = los[:, None] + (his - los)[:, None] * (ref[None, :] + 1.0) / 2.0
+        nodes = los[:, None] + (his - los)[:, None] * (_REF[None, :] + 1.0) / 2.0
         ys = invert_quarter(pexp.pi_p * nodes.ravel(), pexp, DEFAULT_CONFIG)
         ys = ys.reshape(nodes.shape)
+        # chebfit per interval, its design matrix built once; a batched
+        # solve of all intervals is not bitwise the same
         self.coefs = np.empty((self.n_intervals, _DEG + 1))
         for i in range(self.n_intervals):
-            self.coefs[i] = chebyshev.chebfit(ref, ys[i], _DEG)
+            self.coefs[i] = np.linalg.lstsq(_FIT, ys[i], _RCOND)[0] / _SCALE
+        # row deg holds every interval's coefficient of T_deg
+        self._rows = np.ascontiguousarray(self.coefs.T)
 
     def eval(self, t):
         """sin_p(pi_p t) for t in [0, 1/4]."""
@@ -90,14 +101,19 @@ class _QuarterTable:
             k = np.clip(k, 0, self.n_intervals - 1)
             his = _T_TOP * 2.0 ** (-k.astype(float))
             xi = np.clip(4.0 * tr / his - 3.0, -1.0, 1.0)
-            # Clenshaw with per-point coefficient rows (intervals differ)
-            c = self.coefs[k]
+            # Clenshaw, each point's coefficient of T_deg gathered from row
+            # deg; b_deg = c + 2 xi b1 - b2 is formed in place on the gather
+            rows = self._rows
             two_xi = 2.0 * xi
             b1 = np.zeros_like(xi)
             b2 = np.zeros_like(xi)
+            step = np.empty_like(xi)
             for deg in range(_DEG, 0, -1):
-                b1, b2 = c[:, deg] + two_xi * b1 - b2, b1
-            out[rest] = c[:, 0] + xi * b1 - b2
+                c = rows[deg][k]
+                c += np.multiply(two_xi, b1, out=step)
+                c -= b2
+                b1, b2 = c, b1
+            out[rest] = rows[0][k] + xi * b1 - b2
         return out
 
 
@@ -159,12 +175,18 @@ class FastPTrig:
         return c_sign * self._quarter_cos(tq)
 
     def _validate(self):
-        """Probe the tables against the Newton inversion they cache."""
+        """Probe the tables against the Newton inversion they cache.
+
+        Newton starts from the tables, which only saves iterations: its
+        residual test certifies the reference whatever the start, so a
+        wrong table value is corrected there and shows as a deviation.
+        """
         golden = 0.5 * (math.sqrt(5.0) - 1.0)
         t = np.mod(golden * np.arange(1, 34), 1.0) * 0.5
-        y_ref = invert_quarter(self.pexp.pi_p * t, self.pexp, DEFAULT_CONFIG)
+        y_tab = self._quarter_sin(t)
+        y_ref = invert_quarter(self.pexp.pi_p * t, self.pexp, DEFAULT_CONFIG, y_tab)
         c_ref = _cos_from_y(y_ref, self.pexp.p)
-        dev = np.concatenate([self._quarter_sin(t) - y_ref, self._quarter_cos(t) - c_ref])
+        dev = np.concatenate([y_tab - y_ref, self._quarter_cos(t) - c_ref])
         if not np.max(np.abs(dev)) <= 5e-12:  # NaN fails too
             raise ConvergenceError(
                 f"fast evaluator tables for p={self.pexp.p} failed validation"

@@ -239,7 +239,11 @@ def _cmd_operator(args, cfg, stamp):
         return [_record("operator", {**params, "n": args.n}, {"max_abs_dev": dev}, cfg, stamp)]
     if args.vector is None:
         raise DomainError("operator expand requires --vector with comma-separated coefficients")
-    fhat = bop.CosineVector(np.array([float(v) for v in args.vector.split(",")]))
+    try:
+        vector = [float(v) for v in args.vector.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"operator --vector requires finite numbers: {exc}") from None
+    fhat = bop.CosineVector(np.array(vector))
     coeffs, residual = bop.expand_in_pcosine(fhat, args.p, args.N, cfg)
     results = {"coeffs": list(coeffs.coeffs), "residual": residual}
     if args.format == "csv":

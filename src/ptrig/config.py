@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -22,10 +23,11 @@ class EvalConfig:
     quad_levels: int = 12
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
+        # an infinite tolerance would accept every quadrature estimate
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if self.max_newton_iters < 1:
             raise DomainError(
                 f"max_newton_iters must be at least 1, got {self.max_newton_iters}"

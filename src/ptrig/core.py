@@ -134,19 +134,30 @@ def _fp_integrand(x, one_minus_x, p):
 
     For x <= 1/2 the power x^p is formed directly; closer to the endpoint
     the distance 1 - x is the accurate quantity and 1 - x^p is recovered
-    through expm1/log1p.
+    through expm1/log1p.  Each branch works in place on its gathered
+    subset, with the ufuncs of exp(-log1p(-x^p)/p) and
+    exp(-log(-expm1(p log1p(-d)))/p) in that order.
     """
     x = np.asarray(x)
     out = np.empty_like(x)
     near = x > 0.5
     far = ~near
     if far.any():
-        z = x[far] ** p
-        out[far] = np.exp(-np.log1p(-z) / p)
+        z = x[far]
+        z **= p
+        for f in (np.negative, np.log1p, np.negative):
+            f(z, out=z)
+        z /= p
+        out[far] = np.exp(z, out=z)
     if near.any():
         d = one_minus_x[near]
-        w = p * np.log1p(-d)
-        out[near] = np.exp(-np.log(-np.expm1(w)) / p)
+        np.negative(d, out=d)
+        np.log1p(d, out=d)
+        d *= p
+        for f in (np.expm1, np.negative, np.log, np.negative):
+            f(d, out=d)
+        d /= p
+        out[near] = np.exp(d, out=d)
     return out
 
 
@@ -245,7 +256,8 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
     """Solve F_p(y) = u for u in [0, pi_p/2] by safeguarded Newton.
 
     The initial guess is `seed` (an array shaped like u, clipped to
-    [0, 1]) or, without one, the classical sine of the rescaled argument.
+    [0, 1]) or, without one or where it is not finite, the classical sine
+    of the rescaled argument.
     A seed only moves the start: the acceptance rule below is the same
     either way, so any seed yields an answer with the same certificate.
     A bisection step replaces Newton whenever the iterate leaves the current
@@ -263,7 +275,9 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
     if not np.all((u >= -1e-15) & (u <= u_star * (1.0 + 1e-13))):
         raise DomainError("inversion argument outside [0, pi_p/2]")
     p = pexp.p
-    start = np.sin(np.pi * u / pexp.pi_p) if seed is None else np.asarray(seed, dtype=float)
+    start = np.sin(np.pi * u / pexp.pi_p)
+    if seed is not None:  # a non-finite seed entry keeps the classical start
+        start = np.where(np.isfinite(seed), seed, start)
     y = np.clip(start, 0.0, 1.0)
     lo = np.zeros_like(u)
     hi = np.ones_like(u)

@@ -186,7 +186,7 @@ class TestOperatorCommand:
         (rec,) = parse_ndjson(out)
         assert rec["results"]["coeffs"] == [0.0, 1.0, 0.0, 2.0]
 
-    @pytest.mark.parametrize("vector", ("nan,1", "1,inf"))
+    @pytest.mark.parametrize("vector", ("nan,1", "1,inf", "abc,1"))
     def test_expand_rejects_non_finite_vector(self, capsys, vector):
         code, out, err = run_cli(
             capsys, "operator", "--p", "1.7", "--N", "4", "--action", "expand",
@@ -257,6 +257,8 @@ class TestReproducibility:
              "config key max_newton_iters requires an integer, got '1.5'"),
             ("rel_tol = abc\n", "config key rel_tol requires a number, got 'abc'"),
             (None, "cannot read config file"),
+            ("rel_tol = inf\n", "rel_tol must be positive and finite, got inf"),
+            ("abs_tol = inf\n", "abs_tol must be positive and finite, got inf"),
         ],
     )
     def test_bad_config_is_domain_error(self, tmp_path, capsys, text, message):
@@ -269,6 +271,14 @@ class TestReproducibility:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert message in err
+
+    def test_infinite_tol_flag_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "sin_p", "--p", "1.5", "--x", "0.3", "--tol", "inf"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "rel_tol must be positive and finite, got inf" in err
 
 
 class TestSchemaConformance:

@@ -74,6 +74,9 @@ class TestEvalConfig:
             EvalConfig(rel_tol=0.0)
         with pytest.raises(DomainError):
             EvalConfig(abs_tol=-1.0)
+        for name in ("rel_tol", "abs_tol"):
+            with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+                EvalConfig(**{name: math.inf})
         with pytest.raises(DomainError):
             EvalConfig(max_newton_iters=0)
 
@@ -137,6 +140,22 @@ class TestIncompleteF:
             incomplete_F(np.array([0.5, 1.5, 2.0]), 2.0)
         with pytest.raises(DomainError):
             incomplete_F(math.nan, 2.0)
+
+    @pytest.mark.parametrize("p", (1.1, 1.5, 2.0, 3.0, 10.0))
+    def test_integrand_equals_masked_expression(self, p):
+        # the in-place integrand, bit for bit, on the nodes F_p integrates over
+        y = np.concatenate([[1e-300, 0.3, 0.5, 0.99, 1.0 - 1e-12],
+                            np.random.default_rng(36).random(40)])
+        half = y / 2.0
+        for level in range(5):
+            xi, one_minus_xi, _ = core._ts_level(level, core._ts_cutoff(p))
+            x = half[:, None] * (1.0 + xi[None, :])
+            d = (1.0 - y)[:, None] + half[:, None] * one_minus_xi[None, :]
+            ref = np.empty_like(x)
+            far = x <= 0.5
+            ref[far] = np.exp(-np.log1p(-(x[far] ** p)) / p)
+            ref[~far] = np.exp(-np.log(-np.expm1(p * np.log1p(-d[~far]))) / p)
+            assert core._fp_integrand(x, d, p).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("p", (1.02, 1.05))
     def test_endpoint_at_small_p(self, p):
