@@ -143,12 +143,13 @@ class FastPTrig:
         high = ~low
         if high.any():
             s = self._dual.eval(0.5 - t[high])
-            # (1 - s^p')^(1/p); exact 1 at the quarter point where s = 0
+            # (1 - s^p')^(1/p); exact 1 at the quarter point where s = 0.
+            # log meets 0 at s = 0, and in the outer log at s = 1 (large p)
             with np.errstate(divide="ignore"):
                 w = self.conj.p * np.log(s)
-            out[high] = np.where(
-                s > 0.0, np.exp(np.log(-np.expm1(w)) / self.pexp.p), 1.0
-            )
+                out[high] = np.where(
+                    s > 0.0, np.exp(np.log(-np.expm1(w)) / self.pexp.p), 1.0
+                )
         return out
 
     def _quarter_cos(self, t):

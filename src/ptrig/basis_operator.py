@@ -12,9 +12,10 @@ entry b_m(p) in row k exactly when k = m n with odd m.  Its nonzeros
 are stored once, as column-major index arrays.  The truncation is lower
 triangular with b_1(p) on the diagonal, so it is inverted by a sieve
 over its columns: once c_n is known, c_n times column n is subtracted
-from the rows below the diagonal.  That is how functions are expanded
-in the p-cosine system; it needs b_1(p) != 0, which the basis
-criterion implies.
+from the rows below the diagonal.  Only the columns n < N/3 have such a
+row (3n < N), so the sieve visits those alone.  That is how functions
+are expanded in the p-cosine system; it needs b_1(p) != 0, which the
+basis criterion implies.
 """
 
 from __future__ import annotations
@@ -201,14 +202,17 @@ def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> fl
 def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None = None):
     """Solve the truncated system A c = fhat for p-cosine coordinates.
 
-    A sieve over the columns of the truncated operator in increasing
-    order: row n has received every off-diagonal term by the time column
-    n is reached, so c_n = (its remainder) / b_1, and column n times c_n
-    is then subtracted from the rows below the diagonal.  Returns
-    (CosineVector, residual) where the residual is the max-norm defect of
-    the truncated system, taken with the same operator.  A first
-    coefficient below 1e-8 in magnitude makes the truncation numerically
-    singular and is reported.
+    fhat is read at its first N entries: a shorter vector is padded with
+    zeros and a longer one is cut to N.  A sieve over the columns of the
+    truncated operator in increasing order: row n has received every
+    off-diagonal term by the time column n is reached, so c_n = (its
+    remainder) / b_1, and column n times c_n is then subtracted from the
+    rows below the diagonal.  The sieve visits only the columns n < N/3,
+    the ones with a row below the diagonal; every row still receives the
+    same subtractions in the same order.  Returns (CosineVector, residual)
+    where the residual is the max-norm defect of the truncated system,
+    taken with the same operator.  A first coefficient below 1e-8 in
+    magnitude makes the truncation numerically singular and is reported.
     """
     pexp = PExponent.of(p)
     N = _check_index(N, 1, "expand_in_pcosine", "N")
@@ -224,7 +228,7 @@ def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None =
         return CosineVector(rhs, dc_halved=fhat.dc_halved), 0.0
     op = build_truncated_operator(pexp, N, config)
     acc, starts = rhs.copy(), op.starts.tolist()
-    for n in range(1, N):
+    for n in range(1, (N - 1) // 3 + 1):  # n < N/3
         below = slice(starts[n] + 1, starts[n + 1])  # column n without its diagonal
         acc[op.rows[below]] -= op.vals[below] * (acc[n] / b1)
     c = np.r_[rhs[0], acc[1:] / b1]

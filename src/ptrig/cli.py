@@ -243,6 +243,10 @@ def _cmd_operator(args, cfg, stamp):
         vector = [float(v) for v in args.vector.split(",")]
     except ValueError as exc:
         raise DomainError(f"operator --vector requires finite numbers: {exc}") from None
+    if len(vector) > args.N >= 1:  # an N below 1 gets the library's own message
+        raise DomainError(
+            f"operator --vector has {len(vector)} coefficients, more than N = {args.N}"
+        )
     fhat = bop.CosineVector(np.array(vector))
     coeffs, residual = bop.expand_in_pcosine(fhat, args.p, args.N, cfg)
     results = {"coeffs": list(coeffs.coeffs), "residual": residual}

@@ -196,6 +196,28 @@ class TestOperatorCommand:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("N,message", (
+        ("4", "operator --vector has 6 coefficients, more than N = 4"),
+        ("0", "expand_in_pcosine requires an integer N >= 1, got 0"),
+    ))
+    def test_expand_rejects_vector_longer_than_N(self, capsys, N, message):
+        code, out, err = run_cli(
+            capsys, "operator", "--p", "1.7", "--N", N, "--action", "expand",
+            "--vector", "1,2,3,4,5,6",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert message in err
+
+    def test_expand_pads_vector_shorter_than_N(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "operator", "--p", "2", "--N", "4", "--action", "expand",
+            "--vector", "0,1",
+        )
+        assert code == EXIT_OK
+        (rec,) = parse_ndjson(out)
+        assert rec["results"]["coeffs"] == [0.0, 1.0, 0.0, 0.0]
+
     def test_reconstruct(self, capsys):
         code, out, _ = run_cli(
             capsys, "operator", "--p", "1.6", "--N", "8", "--action", "reconstruct",

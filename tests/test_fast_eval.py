@@ -8,6 +8,7 @@ margin (a 3e-16 move of one table is enough to refuse fast_trig(20)).
 """
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ def test_probe_refuses_a_wrong_table(q, change, monkeypatch):
         fe.FastPTrig(1.5)
     monkeypatch.undo()
     fe.FastPTrig(1.5)  # the true tables pass
+
+
+@pytest.mark.parametrize("p", (100.0, 1000.0))
+def test_large_p_refusal_warns_of_nothing(p):
+    # the dual table reads s = 1 there, and 1 - s^p' = 0 meets the log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="failed validation"):
+            fe.FastPTrig(p)
 
 
 def test_non_finite_seed_keeps_classical_start():

@@ -240,6 +240,53 @@ class TestExpansion:
             assert residual < 1e-10
 
 
+def sieve_every_column(fhat, p, N):
+    """The sieve over all N - 1 columns, empty below-diagonal slices included."""
+    rhs = np.zeros(N)
+    take = min(N, len(fhat))
+    rhs[:take] = fhat.coeffs[:take]
+    if N == 1:
+        return rhs, 0.0
+    op = build_truncated_operator(p, N)
+    b1 = op.vals[op.starts[1]]
+    acc = rhs.copy()
+    for n in range(1, N):
+        below = slice(op.starts[n] + 1, op.starts[n + 1])
+        acc[op.rows[below]] -= op.vals[below] * (acc[n] / b1)
+    c = np.r_[rhs[0], acc[1:] / b1]
+    return c, float(np.max(np.abs(op.matvec(c) - rhs)))
+
+
+def assert_sieve_bitwise(fhat, p, N):
+    coeffs, residual = expand_in_pcosine(fhat, p, N)
+    ref_coeffs, ref_residual = sieve_every_column(fhat, p, N)
+    assert coeffs.coeffs.tobytes() == ref_coeffs.tobytes()
+    assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
+
+
+class TestSieveColumns:
+    """Only columns n <= (N-1)/3 have a row below the diagonal (3n < N)."""
+
+    @pytest.mark.parametrize("p", (1.46, 1.8, 2.0, 2.3, 2.42))
+    @pytest.mark.parametrize("N", (1, 2, 3, 4, 5, 6, 7, 9, 16, 100, 257, 1024, 2048))
+    def test_bitwise_equal_to_every_column(self, p, N, rng):
+        for size in (max(1, N // 2), N, N + 5):
+            fhat = CosineVector(rng.standard_normal(size) * np.arange(1, size + 1) ** -1.0)
+            assert_sieve_bitwise(fhat, p, N)
+
+    @given(
+        N=st.integers(1, 400),
+        p=st.sampled_from((1.46, 1.8, 2.3)),
+        extra=st.integers(-400, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_property(self, N, p, extra, seed):
+        size = max(1, N + extra)
+        fhat = CosineVector(np.random.default_rng(seed).standard_normal(size))
+        assert_sieve_bitwise(fhat, p, N)
+
+
 @pytest.mark.parametrize(
     "fn,args,message",
     [
