@@ -139,8 +139,8 @@ def isometry_check(g, n: int, s: float, config: EvalConfig | None = None) -> flo
     config.rel_tol raises ConvergenceError.
     """
     n = _check_index(n, 1, "isometry_check", "n")
-    if not s > 1.0:
-        raise DomainError(f"isometry_check requires s > 1, got {s!r}")
+    if not 1.0 < s < math.inf:
+        raise DomainError(f"isometry_check requires a finite s > 1, got {s!r}")
     base = _ls_norm_pow(g, s, [0.0, 1.0], config)
     folds = np.arange(n + 1) / n
     dilated = _ls_norm_pow(lambda x: _periodic_even(g, n * x), s, folds, config)

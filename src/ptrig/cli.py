@@ -43,7 +43,12 @@ def _timestamp(override: str | None) -> str:
         return override
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
-        return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+        try:
+            return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+        except (ValueError, OverflowError, OSError):
+            raise DomainError(
+                f"SOURCE_DATE_EPOCH requires an integer number of seconds, got {epoch!r}"
+            ) from None
     return datetime.now(tz=timezone.utc).isoformat()
 
 
@@ -80,7 +85,10 @@ def _emit_csv(records, out):
 
 
 def _write(records, args):
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        stream = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise DomainError(f"cannot write output file {args.out!r}: {exc.strerror}") from None
     try:
         if args.format == "json":
             _emit_json(records, stream)
@@ -126,6 +134,8 @@ def _grid(args) -> np.ndarray:
         return np.array([args.x], dtype=float)
     if args.x_min is None or args.x_max is None:
         raise DomainError("eval requires either --x or --x-min/--x-max")
+    if args.x_num < 1:
+        raise DomainError(f"eval --x-num requires an integer >= 1, got {args.x_num}")
     return np.linspace(args.x_min, args.x_max, args.x_num)
 
 

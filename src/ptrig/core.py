@@ -129,36 +129,43 @@ def _ts_level(level: int, t_max: float):
     return xi, one_minus, w
 
 
-def _fp_integrand(x, one_minus_x, p):
-    """(1 - x^p)^(-1/p) evaluated stably on [0, 1).
+def _log_one_minus_pow(y, d, p):
+    """L = log(1 - y^p) for y in [0, 1], given d = 1 - y, in place.
 
-    For x <= 1/2 the power x^p is formed directly; closer to the endpoint
-    the distance 1 - x is the accurate quantity and 1 - x^p is recovered
-    through expm1/log1p.  Each branch works in place on its gathered
-    subset, with the ufuncs of exp(-log1p(-x^p)/p) and
-    exp(-log(-expm1(p log1p(-d)))/p) in that order.
+    For y <= 1/2 the power y^p is formed directly, as log1p(-y^p); closer
+    to the endpoint the distance d is the accurate quantity and L is
+    log(-expm1(p log1p(-d))), which is -inf at d = 0.  Each branch works
+    in place on its gathered subset.  Both (1 - y^p)^(-1/p), the F_p
+    integrand, and (1 - y^p)^(1/p), the cosine, are exp(+-L/p).
     """
-    x = np.asarray(x)
-    out = np.empty_like(x)
-    near = x > 0.5
+    y = np.asarray(y)
+    out = np.empty_like(y)
+    near = y > 0.5
     far = ~near
     if far.any():
-        z = x[far]
+        z = y[far]
         z **= p
-        for f in (np.negative, np.log1p, np.negative):
-            f(z, out=z)
-        z /= p
-        out[far] = np.exp(z, out=z)
+        np.negative(z, out=z)
+        out[far] = np.log1p(z, out=z)
     if near.any():
-        d = one_minus_x[near]
-        np.negative(d, out=d)
-        np.log1p(d, out=d)
-        d *= p
-        for f in (np.expm1, np.negative, np.log, np.negative):
-            f(d, out=d)
-        d /= p
-        out[near] = np.exp(d, out=d)
+        z = d[near]
+        np.negative(z, out=z)
+        np.log1p(z, out=z)
+        z *= p
+        np.expm1(z, out=z)
+        np.negative(z, out=z)
+        with np.errstate(divide="ignore"):
+            out[near] = np.log(z, out=z)
     return out
+
+
+def _fp_integrand(x, one_minus_x, p):
+    """(1 - x^p)^(-1/p) evaluated stably on [0, 1), as exp(-L/p) with L
+    from `_log_one_minus_pow`."""
+    out = _log_one_minus_pow(x, one_minus_x, p)
+    np.negative(out, out=out)
+    out /= p
+    return np.exp(out, out=out)
 
 
 def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol, max_levels):
@@ -215,21 +222,12 @@ def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol, max_levels):
 
 
 def _cos_from_y(y, p):
-    """(1 - y^p)^(1/p) for y in [0, 1], stable near both endpoints."""
+    """(1 - y^p)^(1/p) for y in [0, 1], stable near both endpoints, as
+    exp(L/p) with L from `_log_one_minus_pow` (0 at y = 1)."""
     y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    near = y > 0.5
-    far = ~near
-    if far.any():
-        z = y[far] ** p
-        out[far] = np.exp(np.log1p(-z) / p)
-    if near.any():
-        d = 1.0 - y[near]
-        at_one = d <= 0.0
-        w = p * np.log1p(-np.where(at_one, 0.5, d))
-        c = np.exp(np.log(-np.expm1(w)) / p)
-        out[near] = np.where(at_one, 0.0, c)
-    return out
+    out = _log_one_minus_pow(y, 1.0 - y, p)
+    out /= p
+    return np.exp(out, out=out)
 
 
 def _one_minus_y_pow_p(y, p):

@@ -1,16 +1,20 @@
 """Fourier coefficients of the rescaled p-sine and p-cosine.
 
 The sine coefficients a_j of sin_p(pi_p x) and cosine coefficients b_j of
-cos_p(pi_p x) vanish for even j by symmetry; odd j are computed as
-4 * int_0^(1/2) in banks, one per exponent, kind and tier (odd j <= 127,
-then odd j in (T/2, T] for T = 2^k - 1).  A bank samples the p-function
-once on the graded grid of ptrig.quadrature over [0, 1/2], with panels
+cos_p(pi_p x) vanish for even j by symmetry.  Odd b_j are computed as
+4 * int_0^(1/2) in banks, one per exponent and tier (odd j <= 127, then
+odd j in (T/2, T] for T = 2^k - 1).  A bank samples cos_p(pi_p x) once on
+the graded grid of ptrig.quadrature over [0, 1/2], with panels
 1/(2(T+1)) wide, a quarter oscillation of cos(T pi x), graded dyadically
 into both endpoint singularities.  On the uniform panels the sums over j
 are one real FFT per Gauss-node column; on the graded end panels the
-classical rows follow from the three-term recurrence in j.  The value is
-the sum on the grid with every panel halved, its gap to the unhalved sum
-the error estimate.  A coefficient depends only on (p, kind, j).
+rows cos(j pi x) follow from the three-term recurrence in j.  The value
+is the sum on the grid with every panel halved, its gap to the unhalved
+sum the error estimate.  A coefficient depends only on (p, j).
+
+Odd a_j need no quadrature of their own: d/dx sin_p(pi_p x) =
+pi_p cos_p(pi_p x) and sin_p(pi_p) = 0, so integrating by parts gives
+a_j = pi_p b_j / (j pi) exactly, and value and estimate are scaled alike.
 
 The decay bounds
 
@@ -37,7 +41,7 @@ from ._fast_eval import fast_trig
 from .config import DEFAULT_CONFIG, EvalConfig
 from .core import PExponent, c_p, check_exponent, pi_p
 from .errors import ConvergenceError, DomainError
-from .quadrature import GAUSS_OFFSETS, graded_grid, uniform_runs
+from .quadrature import GAUSS_OFFSETS, graded_grid, halved_sum, uniform_runs
 from .thresholds import odd_reciprocal_sum
 
 PI = math.pi
@@ -84,43 +88,42 @@ def _tier(j: int):
     return (1 if last == 127 else last // 2 + 2), last
 
 
-def _seed_row(classical, j: int, x: np.ndarray) -> np.ndarray:
-    """classical(j pi x), with j x reduced mod 2 exactly for |j| < 2^23.
+def _seed_row(j: int, x: np.ndarray) -> np.ndarray:
+    """cos(j pi x), with j x reduced mod 2 exactly for |j| < 2^23.
 
     Rounding j pi x directly costs up to j eps in the phase, which the
     recurrence would carry into every later row of the tier.
     """
     xh = np.floor(x * 2.0**30) / 2.0**30  # j * xh is exact
-    return classical(PI * (np.fmod(j * xh, 2.0) + j * (x - xh)))
+    return np.cos(PI * (np.fmod(j * xh, 2.0) + j * (x - xh)))
 
 
-def _coeff_quadrature(p: float, j, kind: str):
-    """(value, err_est) of odd coefficients j by the tier quadrature.
+def _samples(scaled, x: np.ndarray) -> np.ndarray:
+    """scaled(x) in chunks of _CHUNK points."""
+    return np.concatenate([scaled(x[i : i + _CHUNK]) for i in range(0, x.size, _CHUNK)])
+
+
+def _coeff_quadrature(p: float, j):
+    """(value, err_est) of odd cosine coefficients b_j by the tier quadrature.
 
     j is an odd int or an array of odd indices from one tier.  The whole
-    tier is computed from fresh samples, with no cache and no p = 2
-    shortcut, so a coefficient comes out the same whichever indices are
-    asked for alongside it.
+    tier is computed from fresh samples of cos_p(pi_p x), with no cache
+    and no p = 2 shortcut, so a coefficient comes out the same whichever
+    indices are asked for alongside it.
 
     On the uniform panels of each grid (panel r spanning (k + r + [0, 1])
     h/k, see `uniform_runs`), node q of panel r contributes phase
     pi j (k + r + eta_q) h/k.  With L = 4(T+1)k, L h/k = 2, so its r part
     is the exact integer phase j r mod L: the sums over r for every j are
-    one real FFT of length L per node column, and a twiddle
-    e^(i pi j (k + eta_q) h/k) per column finishes them.  The cosine kind
-    keeps the real part, the sine kind the imaginary part.  The graded end
-    panels take the three-term recurrence in j.
+    one real FFT of length L per node column, and the real part of a
+    twiddle e^(i pi j (k + eta_q) h/k) per column finishes them.  The
+    graded end panels take the three-term recurrence in j.
     """
     js = np.asarray(j)
     first, last = _tier(js.max())
-    trig = fast_trig(float(p))
-    if kind == KIND_COSINE:
-        scaled, classical, part = trig.cos_scaled, np.cos, np.real
-    else:
-        scaled, classical, part = trig.sin_scaled, np.sin, np.imag
     h = 0.5 / (last + 1)
     x, w, nc = graded_grid((0.0, 0.5), h)
-    f = w * np.concatenate([scaled(x[i : i + _CHUNK]) for i in range(0, x.size, _CHUNK)])
+    f = w * _samples(fast_trig(float(p)).cos_scaled, x)
     rows = np.arange(first, last + 1, 2)
     sums = np.empty((rows.size, 2))  # (unhalved, halved) per j
     graded = np.ones(x.size, dtype=bool)
@@ -129,13 +132,13 @@ def _coeff_quadrature(p: float, j, kind: str):
         panels = f[run].reshape(-1, GAUSS_OFFSETS.size)
         spectrum = np.fft.rfft(panels, n=4 * (last + 1) * k, axis=0)[rows].conj()
         twiddle = np.exp(1j * PI * np.outer(rows * (h / k), k + GAUSS_OFFSETS))
-        sums[:, g] = part(twiddle * spectrum).sum(axis=1)
+        sums[:, g] = np.real(twiddle * spectrum).sum(axis=1)
     weights = np.zeros((x.size, 2))  # one column per grid: one product gives both sums
     weights[:nc, 0], weights[nc:, 1] = f[:nc], f[nc:]
     x, weights = x[graded], weights[graded]
     # row_{j+2} = 2 cos(2 pi x) row_j - row_{j-2}, from two seeded rows
     two_cos = 2.0 * np.cos(2.0 * PI * x)
-    prev, row = _seed_row(classical, first - 2, x), _seed_row(classical, first, x)
+    prev, row = _seed_row(first - 2, x), _seed_row(first, x)
     for i in range(rows.size):
         sums[i] += row @ weights
         prev, row = row, np.subtract(two_cos * row, prev, out=prev)
@@ -145,9 +148,9 @@ def _coeff_quadrature(p: float, j, kind: str):
 
 
 @lru_cache(maxsize=1024)
-def _coeff_cached(p: float, kind: str, last: int):
-    """The bank of one tier: values and error estimates of its odd j."""
-    return _coeff_quadrature(p, np.arange(_tier(last)[0], last + 1, 2), kind)
+def _coeff_cached(p: float, last: int):
+    """The bank of one tier: values and error estimates of its odd b_j."""
+    return _coeff_quadrature(p, np.arange(_tier(last)[0], last + 1, 2))
 
 
 def _check_index(j, first: int, name: str, var: str = "j", stop=None, odd: bool = False) -> int:
@@ -167,9 +170,10 @@ def _check_index(j, first: int, name: str, var: str = "j", stop=None, odd: bool 
 def _odd_coeffs(pexp: PExponent, kind: str, lo: int, hi: int, config: EvalConfig | None):
     """Values and error estimates of the odd coefficients lo <= j <= hi.
 
-    lo is odd.  The values come from the banks whatever the config; an
-    error estimate above config.rel_tol (or NaN) raises ConvergenceError.
-    p = 2 reads the classical table.
+    lo is odd.  The values come from the cosine banks whatever the config,
+    the sine kind's scaled by pi_p/(j pi); an error estimate above
+    config.rel_tol (or NaN) raises ConvergenceError.  p = 2 reads the
+    classical table.
     """
     if pexp.p == 2.0:
         values = (np.arange(lo, hi + 1, 2) == 1).astype(float)
@@ -177,10 +181,13 @@ def _odd_coeffs(pexp: PExponent, kind: str, lo: int, hi: int, config: EvalConfig
     start, j, banks = _tier(lo)[0], lo, []
     while j <= hi:
         last = _tier(j)[1]
-        banks.append(_coeff_cached(pexp.p, kind, last))
+        banks.append(_coeff_cached(pexp.p, last))
         j = last + 2
     take = slice((lo - start) // 2, (hi - start) // 2 + 1)
     values, errs = (np.concatenate(parts)[take] for parts in zip(*banks))
+    if kind == KIND_SINE:
+        scale = pexp.pi_p / (np.arange(lo, hi + 1, 2) * PI)
+        values, errs = values * scale, errs * scale
     cfg = config or DEFAULT_CONFIG
     bad = np.flatnonzero(~(errs <= cfg.rel_tol))
     if bad.size:
@@ -233,11 +240,18 @@ def coeff_table(p, j_max: int, kind: str = KIND_COSINE, config: EvalConfig | Non
 
 
 def coeff_relation_check(p, j: int, config: EvalConfig | None = None) -> float:
-    """Residual |b_j - (j pi/pi_p) a_j| from two independent quadratures."""
+    """Residual |b_j - (j pi/pi_p) a_j| from two independent quadratures.
+
+    b_j is read from its cosine bank.  a_j is not derived from it: it is
+    the direct halved sum 4 sum w sin_p(pi_p x) sin(j pi x) on the grid of
+    j's bank, sampling sin_p, so the residual measures both routes.
+    """
     pexp = PExponent.of(p)
     j = _check_index(j, 1, "coeff_relation_check", odd=True)
     b, _ = cosine_coeff(pexp, j, config)
-    a, _ = sine_coeff(pexp, j, config)
+    x, w, nc = graded_grid((0.0, 0.5), 0.5 / (_tier(j)[1] + 1))
+    weighted = 4.0 * w * _samples(fast_trig(pexp.p).sin_scaled, x) * np.sin(j * PI * x)
+    a, _ = halved_sum(weighted, nc, (config or DEFAULT_CONFIG).rel_tol, f"a_{j} at p={pexp.p!r}")
     return abs(b - (j * PI / pexp.pi_p) * a)
 
 

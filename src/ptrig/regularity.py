@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import EvalConfig
 from .core import PExponent, c_p, check_exponent, pi_p
-from .errors import DomainError, InsufficientCoefficients
+from .errors import ConvergenceError, DomainError, InsufficientCoefficients
 from .fourier import KIND_SINE, _check_index, _odd_coeffs, _worst_slack
 
 PI = math.pi
@@ -44,13 +44,20 @@ class RegularityReport:
 
 
 def sobolev_partial(p, rho: float, J: int, config: EvalConfig | None = None) -> float:
-    """Partial sum of (1 + j^2)^rho a_j^2 over odd j <= J."""
-    if not rho >= 0.0:
-        raise DomainError(f"sobolev_partial requires rho >= 0, got {rho!r}")
+    """Partial sum of (1 + j^2)^rho a_j^2 over odd j <= J.
+
+    A sum beyond the largest double raises ConvergenceError.
+    """
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"sobolev_partial requires a finite rho >= 0, got {rho!r}")
     J = _check_index(J, 1, "sobolev_partial", "J")
     a, _ = _odd_coeffs(PExponent.of(p), KIND_SINE, 1, J, config)
     js = np.arange(1, J + 1, 2, dtype=float)
-    return float(np.sum((1.0 + js * js) ** rho * a * a))
+    with np.errstate(over="ignore"):
+        total = float(np.sum((1.0 + js * js) ** rho * a * a))
+    if not math.isfinite(total):
+        raise ConvergenceError(f"sobolev_partial overflows at rho={rho!r}, J={J}")
+    return total
 
 
 def sine_bound_small_p(p: float, j: int) -> float:

@@ -77,6 +77,15 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert "got 1.5" in err and "array" not in err
 
+    @pytest.mark.parametrize("num", ("0", "-1"))
+    def test_empty_or_negative_grid_is_domain_error(self, capsys, num):
+        code, out, err = run_cli(
+            capsys, "eval", "sin_p", "--p", "1.5", "--x-min", "0", "--x-max", "1", "--x-num", num
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert f"eval --x-num requires an integer >= 1, got {num}" in err
+
     def test_function_precondition_named(self, capsys):
         code, _, err = run_cli(capsys, "eval", "v_p", "--p", "1.5", "--x", "0.2")
         assert code == EXIT_DOMAIN
@@ -164,6 +173,12 @@ class TestRegularityCommand:
         assert rec["results"]["r_threshold"] == pytest.approx(2.0)
         assert rec["results"]["partial_sum"] > 0.0
 
+    def test_infinite_rho_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "regularity", "--p", "3", "--rho", "inf", "--J", "11")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "sobolev_partial requires a finite rho >= 0, got inf" in err
+
 
 class TestOperatorCommand:
     def test_build_csv(self, capsys):
@@ -236,6 +251,21 @@ class TestReproducibility:
             code = main(["thresholds", "--out", str(path)])
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_out_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "eval", "sin_p", "--p", "1.5", "--x", "1", "--out", str(path))
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert f"cannot write output file {str(path)!r}" in err
+        assert not path.exists()
+
+    def test_bad_source_date_epoch_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        code, out, err = run_cli(capsys, "eval", "sin_p", "--p", "1.5", "--x", "1")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "SOURCE_DATE_EPOCH requires an integer number of seconds, got 'abc'" in err
 
     def test_timestamp_flag_wins(self, capsys):
         _, out, _ = run_cli(capsys, "criterion", "--p", "2", "--timestamp", FIXED_STAMP)

@@ -157,6 +157,52 @@ class TestIncompleteF:
             ref[~far] = np.exp(-np.log(-np.expm1(p * np.log1p(-d[~far]))) / p)
             assert core._fp_integrand(x, d, p).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("p", (1.02, 1.1, 1.5, 2.0, 3.0, 10.0, 50.0))
+    def test_shared_log_equals_separate_forms(self, p):
+        # the integrand and the cosine share one log(1 - y^p); both equal,
+        # bit for bit, the two separate forms they replaced
+        def integrand_ref(x, one_minus_x, p):
+            out = np.empty_like(x)
+            near = x > 0.5
+            far = ~near
+            z = x[far]
+            z **= p
+            for f in (np.negative, np.log1p, np.negative):
+                f(z, out=z)
+            z /= p
+            out[far] = np.exp(z, out=z)
+            d = one_minus_x[near]
+            np.negative(d, out=d)
+            np.log1p(d, out=d)
+            d *= p
+            for f in (np.expm1, np.negative, np.log, np.negative):
+                f(d, out=d)
+            d /= p
+            out[near] = np.exp(d, out=d)
+            return out
+
+        def cos_ref(y, p):
+            out = np.empty_like(y)
+            near = y > 0.5
+            far = ~near
+            out[far] = np.exp(np.log1p(-(y[far] ** p)) / p)
+            d = 1.0 - y[near]
+            at_one = d <= 0.0
+            c = np.exp(np.log(-np.expm1(p * np.log1p(-np.where(at_one, 0.5, d)))) / p)
+            out[near] = np.where(at_one, 0.0, c)
+            return out
+
+        rng = np.random.default_rng(14)
+        y = np.concatenate([
+            rng.random(200_000),
+            1.0 - 1e-8 * rng.random(1000),
+            [0.0, 0.5, np.nextafter(1.0, 0.0), 1.0],
+        ])
+        assert _cos_from_y(y, p).tobytes() == cos_ref(y, p).tobytes()
+        with np.errstate(divide="ignore"):  # the reference integrand meets log(0) at y = 1
+            ref = integrand_ref(y, 1.0 - y, p)
+        assert core._fp_integrand(y, 1.0 - y, p).tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("p", (1.02, 1.05))
     def test_endpoint_at_small_p(self, p):
         # F_p(1) = pi_p/2 by definition; near it sin_p keeps the one-ulp bracket

@@ -11,6 +11,7 @@ from ptrig import (
     ConvergenceError,
     DomainError,
     EvalConfig,
+    PExponent,
     basis_criterion,
     bound_check_large_p,
     bound_check_small_p,
@@ -28,6 +29,7 @@ from ptrig import fourier
 from ptrig._fast_eval import _quarter_table, fast_trig
 from ptrig.fourier import (
     _coeff_quadrature,
+    _odd_coeffs,
     cosine_bound_large_p,
     cosine_bound_small_p,
 )
@@ -46,9 +48,9 @@ class TestClassicalCase:
 
     def test_quadrature_path_matches(self):
         # bypass the shortcut: the oscillatory quadrature must agree
-        v1, e1 = _coeff_quadrature(2.0, 1, KIND_COSINE)
+        v1, e1 = _coeff_quadrature(2.0, 1)
         assert abs(v1 - 1.0) < 1e-12
-        v3, _ = _coeff_quadrature(2.0, 3, KIND_COSINE)
+        v3, _ = _coeff_quadrature(2.0, 3)
         assert abs(v3) < 1e-10
 
 
@@ -148,6 +150,17 @@ class TestCoefficientRelation:
         with pytest.raises(DomainError):
             coeff_relation_check(1.5, 4)
 
+    def test_sine_side_is_an_independent_route(self, monkeypatch):
+        # a_j derived from b_j would satisfy the relation whatever sin_p
+        # is; a shift of the sampled sin_p must show in the residual as
+        # (pi/pi_p) 4 * 1e-9 int_0^(1/2) sin(pi x) dx = 4e-9/pi_p
+        p = 1.5
+        assert coeff_relation_check(p, 1) < 1e-11
+        trig = fast_trig(p)
+        sin_scaled = trig.sin_scaled
+        monkeypatch.setattr(trig, "sin_scaled", lambda t: sin_scaled(t) + 1e-9)
+        assert coeff_relation_check(p, 1) == pytest.approx(4e-9 / pi_p(p), rel=1e-3)
+
 
 class TestCoeffTable:
     def test_structure(self):
@@ -231,7 +244,9 @@ class TestBankAgainstDirectSum:
     Same samples, same nodes, same halving rule: only the summation
     differs, so the two agree to rounding.  A panel-offset or twiddle
     error of order 1e-13 would pass the FFT-oracle test above but not
-    this one.
+    this one.  The sine coefficients a_j = pi_p b_j/(j pi) are derived
+    from the cosine bank, values and estimates alike, and must agree
+    with the plain sine sums to the same bound.
     """
 
     @staticmethod
@@ -256,7 +271,10 @@ class TestBankAgainstDirectSum:
     @pytest.mark.parametrize("last", (127, 1023))
     def test_every_odd_index_of_tier(self, p, kind, last):
         js, values, errs = self._direct(p, kind, last)
-        bank_values, bank_errs = _coeff_quadrature(p, js, kind)
+        if kind == KIND_COSINE:
+            bank_values, bank_errs = _coeff_quadrature(p, js)
+        else:
+            bank_values, bank_errs = _odd_coeffs(PExponent.of(p), kind, js[0], js[-1], None)
         assert np.max(np.abs(bank_values - values)) < 2e-15
         assert np.max(np.abs(bank_errs - errs)) < 2e-15
 

@@ -88,6 +88,9 @@ class TestIsometry:
             isometry_check(lambda x: x, 0, 2.0)
         with pytest.raises(DomainError):
             isometry_check(lambda x: x, 2, 1.0)
+        for s in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="requires a finite s > 1"):
+                isometry_check(np.cos, 2, s)
 
 
 class TestTruncatedOperator:

@@ -7,6 +7,7 @@ import pytest
 
 import ptrig
 from ptrig import (
+    ConvergenceError,
     DomainError,
     InsufficientCoefficients,
     decay_slope,
@@ -74,6 +75,14 @@ class TestSobolevPartial:
             sobolev_partial(2.0, -1.0, 99)
         with pytest.raises(DomainError):
             sobolev_partial(2.0, 1.0, 0)
+        for rho in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="requires a finite rho >= 0"):
+                sobolev_partial(3.0, rho, 11)
+
+    def test_overflow_raises(self):
+        # (1 + 199^2)^200 is far beyond the largest double
+        with pytest.raises(ConvergenceError, match="sobolev_partial overflows"):
+            sobolev_partial(3.0, 200.0, 199)
 
 
 class TestSineBounds:
