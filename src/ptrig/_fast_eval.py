@@ -35,8 +35,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .config import DEFAULT_CONFIG
-from .core import PExponent, _cos_from_y, invert_quarter, reduce_argument
-from .errors import ConvergenceError
+from .core import PExponent, _cos_from_y, _log_one_minus_pow, invert_quarter, reduce_argument
+from .errors import ConvergenceError, DomainError
 
 _DEG = 30  # Chebyshev degree per dyadic interval
 _T_TOP = 0.25
@@ -128,7 +128,10 @@ class FastPTrig:
 
     def __init__(self, p: float):
         self.pexp = PExponent.of(p)
-        self.conj = self.pexp.conjugate
+        try:
+            self.conj = self.pexp.conjugate
+        except DomainError as exc:  # p above 2^53: no table for the upper half
+            raise ConvergenceError(f"fast evaluator tables refused: {exc}") from None
         self._own = _quarter_table(self.pexp.p)
         self._dual = _quarter_table(self.conj.p)
         self._validate()
@@ -143,13 +146,8 @@ class FastPTrig:
         high = ~low
         if high.any():
             s = self._dual.eval(0.5 - t[high])
-            # (1 - s^p')^(1/p); exact 1 at the quarter point where s = 0.
-            # log meets 0 at s = 0, and in the outer log at s = 1 (large p)
-            with np.errstate(divide="ignore"):
-                w = self.conj.p * np.log(s)
-                out[high] = np.where(
-                    s > 0.0, np.exp(np.log(-np.expm1(w)) / self.pexp.p), 1.0
-                )
+            # (1 - s^p')^(1/p), exactly 1 at the quarter point where s = 0
+            out[high] = np.exp(_log_one_minus_pow(s, 1.0 - s, self.conj.p) / self.pexp.p)
         return out
 
     def _quarter_cos(self, t):

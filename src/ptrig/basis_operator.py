@@ -38,13 +38,13 @@ from .quadrature import graded_grid, halved_sum, integrate_panels
 class CosineVector:
     """Finite cosine-basis coordinates g(0..N-1).
 
-    dc_halved records the constant-term convention: True means entry 0 is
-    the coefficient that multiplies e_0 directly (i.e. the raw integral
-    coefficient divided by two).
+    Entry 0 is the constant coefficient, the one that multiplies e_0
+    directly (the raw integral coefficient divided by two).  The operator
+    maps constants to constants, so `apply_dilation` and
+    `expand_in_pcosine` pass it through unchanged.
     """
 
     coeffs: np.ndarray
-    dc_halved: bool = True
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -113,7 +113,7 @@ def apply_dilation(v: CosineVector, n: int, cap: int | None = None) -> CosineVec
     take = min(N, (out_len - 1) // n + 1)
     out = np.zeros(out_len)
     out[: n * take : n] = v.coeffs[:take]
-    return CosineVector(out, dc_halved=v.dc_halved)
+    return CosineVector(out)
 
 
 def _periodic_even(g, x):
@@ -126,7 +126,12 @@ def _periodic_even(g, x):
 def _ls_norm_pow(f, s: float, edges, config: EvalConfig | None = None) -> float:
     """int_0^1 |f|^s on the graded grid with breakpoints at the edges."""
     cfg = config or DEFAULT_CONFIG
-    value, _ = integrate_panels(lambda x: np.abs(f(x)) ** s, edges, abs_tol=cfg.rel_tol)
+    with np.errstate(over="ignore"):  # an overflow raises below or in halved_sum
+        value, err = integrate_panels(lambda x: np.abs(f(x)) ** s, edges, abs_tol=math.inf)
+    if not (math.isfinite(value) and err <= cfg.rel_tol * value):
+        raise ConvergenceError(
+            f"isometry_check: quadrature estimate {err:.3e} exceeds rel_tol of {value:.3e}"
+        )
     return value
 
 
@@ -135,8 +140,9 @@ def isometry_check(g, n: int, s: float, config: EvalConfig | None = None) -> flo
 
     Both norms come from `integrate_panels`, the dilated one with
     breakpoints at the fold points k/n of the periodic extension, so g
-    should be smooth inside (0, 1); an error estimate above
-    config.rel_tol raises ConvergenceError.
+    should be smooth inside (0, 1); an error estimate above config.rel_tol
+    times the integral of |g|^s, or an integral that overflows, raises
+    ConvergenceError.
     """
     n = _check_index(n, 1, "isometry_check", "n")
     if not 1.0 < s < math.inf:
@@ -225,7 +231,7 @@ def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None =
             f"truncated operator is numerically singular: |b_1| = {abs(b1):.3e}"
         )
     if N == 1:
-        return CosineVector(rhs, dc_halved=fhat.dc_halved), 0.0
+        return CosineVector(rhs), 0.0
     op = build_truncated_operator(pexp, N, config)
     acc, starts = rhs.copy(), op.starts.tolist()
     for n in range(1, (N - 1) // 3 + 1):  # n < N/3
@@ -233,4 +239,4 @@ def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None =
         acc[op.rows[below]] -= op.vals[below] * (acc[n] / b1)
     c = np.r_[rhs[0], acc[1:] / b1]
     residual = float(np.max(np.abs(op.matvec(c) - rhs)))
-    return CosineVector(c, dc_halved=fhat.dc_halved), residual
+    return CosineVector(c), residual

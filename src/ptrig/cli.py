@@ -11,6 +11,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -57,12 +58,7 @@ def _record(command, params, results, cfg, stamp):
         "command": command,
         "params": params,
         "results": results,
-        "config": {
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "max_newton_iters": cfg.max_newton_iters,
-            "quad_levels": cfg.quad_levels,
-        },
+        "config": dataclasses.asdict(cfg),
         "timestamp": stamp,
     }
 
@@ -100,7 +96,9 @@ def _write(records, args):
 
 
 def _load_config(args) -> EvalConfig:
-    values = {}
+    """EvalConfig from a file of `field = value` lines (# comments), then --tol."""
+    kinds = {f.name: type(getattr(DEFAULT_CONFIG, f.name)) for f in dataclasses.fields(EvalConfig)}
+    kwargs = {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as handle:
@@ -109,20 +107,19 @@ def _load_config(args) -> EvalConfig:
             raise DomainError(f"cannot read config file {args.config!r}: {exc.strerror}") from None
         for line in lines:
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
-    kwargs = {}
-    for key, kind in (("rel_tol", float), ("abs_tol", float),
-                      ("max_newton_iters", int), ("quad_levels", int)):
-        if key in values:
+            key, eq, raw = (part.strip() for part in line.partition("="))
+            if not eq or key not in kinds:
+                raise DomainError(
+                    f"config line {line!r} is not key = value with a key among {', '.join(kinds)}"
+                )
             try:
-                kwargs[key] = kind(values[key])
+                kwargs[key] = kinds[key](raw)
             except ValueError:
                 raise DomainError(
-                    f"config key {key} requires {'a number' if kind is float else 'an integer'}, "
-                    f"got {values[key]!r}"
+                    f"config key {key} requires "
+                    f"{'a number' if kinds[key] is float else 'an integer'}, got {raw!r}"
                 ) from None
     if getattr(args, "tol", None) is not None:
         kwargs["rel_tol"] = args.tol

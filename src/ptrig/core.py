@@ -77,6 +77,13 @@ class PExponent:
 
     @property
     def conjugate(self) -> "PExponent":
+        """PExponent(p/(p-1)); above p = 2^53 the quotient rounds to 1 and
+        DomainError names p."""
+        if not self.p_conj > 1.0:
+            raise DomainError(
+                f"p = {self.p!r} has no conjugate exponent in double precision: "
+                f"p/(p-1) rounds to 1"
+            )
         return PExponent(self.p_conj)
 
     @property
@@ -228,21 +235,6 @@ def _cos_from_y(y, p):
     out = _log_one_minus_pow(y, 1.0 - y, p)
     out /= p
     return np.exp(out, out=out)
-
-
-def _one_minus_y_pow_p(y, p):
-    """1 - y^p for y in [0, 1] without cancellation."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    near = y > 0.5
-    far = ~near
-    if far.any():
-        out[far] = -np.expm1(p * np.log(np.where(y[far] > 0.0, y[far], 0.5)))
-        out[far] = np.where(y[far] > 0.0, out[far], 1.0)
-    if near.any():
-        d = 1.0 - y[near]
-        out[near] = -np.expm1(p * np.log1p(-d))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +469,21 @@ def d2cos_p(x, p, config: EvalConfig | None = None):
 
     Equals sin_p^(p-2) * cos_p^(3-2p) * (2 - p - cos_p^p); the sign change
     of the bracket locates the extremum of the rescaled derivative.  The
-    endpoints are singular for p != 2 and are rejected.
+    endpoints are singular for p != 2 and are rejected; as in dcos_p, for
+    p > 2 arguments where cos_p underflows below 1e-13 return -inf.
     """
     pexp = PExponent.of(p)
     arr, scalar = _as_batch(x)
     if np.any(arr <= 0.0) or np.any(arr >= pexp.quarter):
         raise DomainError("d2cos_p requires x strictly inside (0, pi_p/2)")
+    p = pexp.p
     y = _invert(arr, pexp, config)
-    c = _cos_from_y(y, pexp.p)
-    bracket = 2.0 - pexp.p - _one_minus_y_pow_p(y, pexp.p)
-    vals = y ** (pexp.p - 2.0) * c ** (3.0 - 2.0 * pexp.p) * bracket
+    L = _log_one_minus_pow(y, 1.0 - y, p)  # log(1 - y^p) = p log cos_p
+    c = np.exp(L / p)
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = y ** (p - 2.0) * c ** (3.0 - 2.0 * p) * (2.0 - p - np.exp(L))
+    if p > 2.0:
+        vals = np.where(c < 1e-13, -np.inf, vals)
     return _scalar_or_array(vals, scalar)
 
 

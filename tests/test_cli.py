@@ -1,11 +1,13 @@
 """Command-line interface: output schema, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 
 import jsonschema
 import pytest
 
+from ptrig import EvalConfig
 from ptrig.cli import EXIT_DOMAIN, EXIT_OK, main
 
 FIXED_STAMP = "2026-01-01T00:00:00+00:00"
@@ -56,6 +58,13 @@ class TestEval:
         (rec,) = parse_ndjson(out)
         assert rec["results"]["value_re"] == pytest.approx(math.cos(1.0), abs=1e-12)
         assert rec["results"]["value_im"] == pytest.approx(math.sin(1.0), abs=1e-12)
+
+    def test_p_beyond_two_to_the_53(self, capsys):
+        # p/(p-1) rounds to 1 there; sin_p is the triangle wave of p -> inf
+        code, out, _ = run_cli(capsys, "eval", "sin_p", "--p", "1e16", "--x", "0.3")
+        assert code == EXIT_OK
+        (rec,) = parse_ndjson(out)
+        assert rec["results"]["value"] == pytest.approx(0.3, abs=1e-15)
 
     def test_grid_ordering(self, capsys):
         code, out, _ = run_cli(
@@ -293,8 +302,8 @@ class TestReproducibility:
             capsys, "eval", "sin_p", "--p", "2", "--x", "0.3", "--config", str(cfg)
         )
         (rec,) = parse_ndjson(out)
-        assert rec["config"]["rel_tol"] == 1e-10
-        assert rec["config"]["quad_levels"] == 10
+        expected = dataclasses.asdict(EvalConfig(rel_tol=1e-10, quad_levels=10))
+        assert list(rec["config"].items()) == list(expected.items())
         _, out, _ = run_cli(
             capsys, "eval", "sin_p", "--p", "2", "--x", "0.3",
             "--config", str(cfg), "--tol", "1e-9",
@@ -311,6 +320,9 @@ class TestReproducibility:
             (None, "cannot read config file"),
             ("rel_tol = inf\n", "rel_tol must be positive and finite, got inf"),
             ("abs_tol = inf\n", "abs_tol must be positive and finite, got inf"),
+            ("reltol = 1e-3\n", "config line 'reltol = 1e-3' is not key = value"),
+            ("# fine\nthis line has no equals\n",
+             "config line 'this line has no equals' is not key = value"),
         ],
     )
     def test_bad_config_is_domain_error(self, tmp_path, capsys, text, message):

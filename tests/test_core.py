@@ -1,6 +1,7 @@
 """Core p-trigonometric evaluation: examples, identities, symmetries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,23 @@ class TestIncompleteF:
             ref = integrand_ref(y, 1.0 - y, p)
         assert core._fp_integrand(y, 1.0 - y, p).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("p", (1.46, 1.5, 1.8, 2.41, 2.5, 3.0, 5.0, 10.0))
+    def test_one_minus_pow_from_shared_log(self, p):
+        # d2cos_p takes 1 - y^p as exp(log(1 - y^p)); the form it replaced:
+        def one_minus_y_pow_p(y, p):
+            out = np.empty_like(y)
+            near = y > 0.5
+            far = ~near
+            out[far] = -np.expm1(p * np.log(np.where(y[far] > 0.0, y[far], 0.5)))
+            out[far] = np.where(y[far] > 0.0, out[far], 1.0)
+            out[near] = -np.expm1(p * np.log1p(-(1.0 - y[near])))
+            return out
+
+        y = np.linspace(0.0, 1.0, 3001)[1:-1]
+        ref = one_minus_y_pow_p(y, p)
+        got = np.exp(core._log_one_minus_pow(y, 1.0 - y, p))
+        assert np.max(np.abs(got - ref) / ref) <= 2e-15
+
     @pytest.mark.parametrize("p", (1.02, 1.05))
     def test_endpoint_at_small_p(self, p):
         # F_p(1) = pi_p/2 by definition; near it sin_p keeps the one-ulp bracket
@@ -241,6 +259,43 @@ class TestSinP:
             for bad in (math.inf, math.nan):
                 with pytest.raises(DomainError):
                     fn(bad, 2.0)
+
+
+class TestBeyondTwoToThe53:
+    """p/(p-1) rounds to 1 above 2^53, so p has no conjugate table."""
+
+    X = np.array([0.3, 0.9, 1.5, 3.0, -7.0])
+
+    @pytest.mark.parametrize("p", (1e16, 1e300))
+    def test_triangle_wave(self, p):
+        # the classical start gives the p -> inf limit
+        y = sin_p(self.X, p)
+        assert np.max(np.abs(y - [0.3, 0.9, 0.5, -1.0, 1.0])) <= 2e-16
+        assert np.array_equal(cos_p(self.X, p), [1.0, 1.0, -1.0, 0.0, 0.0])
+        assert np.array_equal(exp_p(self.X, p).imag, y)
+
+    def test_tables_refused_naming_p(self):
+        with pytest.raises(ConvergenceError, match=r"p = 1e\+16 has no conjugate"):
+            fast_trig(1e16)
+
+
+extreme_exponents = st.one_of(
+    st.floats(min_value=1.0, max_value=1.001, exclude_min=True),
+    st.floats(min_value=50.0, max_value=1e300),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(extreme_exponents, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+def test_extreme_exponents_stay_in_range(p, xs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (sin_p, cos_p):
+            vals = fn(np.array(xs), p)
+            assert np.all(np.abs(vals) <= 1.0)  # NaN fails too
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    fn(bad, p)
 
 
 class TestCosP:
@@ -415,6 +470,12 @@ class TestD2cosP:
         fd = (dcos_p(x + h, p) - dcos_p(x - h, p)) / (2.0 * h)
         assert abs(d2cos_p(x, p) - fd) < 1e-6
 
+    def test_underflowing_cosine_is_minus_inf_without_warning(self):
+        # y rounds to 1 there, so cos_p is 0 and cos_p^(3-2p) divides by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d2cos_p(pi_p(3.0) / 2.0 * (1.0 - 1e-15), 3.0) == -math.inf
+
     def test_rejects_endpoints(self):
         with pytest.raises(DomainError):
             d2cos_p(0.0, 1.5)
@@ -537,6 +598,9 @@ class TestVp:
             v_p(0.2, 1.5)
         with pytest.raises(DomainError):
             v_p(math.nan, 3.0)
+        # p/(p-1) rounds to 1 above 2^53; the error names the p passed
+        with pytest.raises(DomainError, match=r"p = 1e\+16 has no conjugate"):
+            v_p(0.2, 1e16)
 
 
 class TestExpP:

@@ -119,3 +119,19 @@ def test_non_finite_seed_keeps_classical_start():
     seed = np.full_like(u, np.nan)
     seed[::2] = np.inf
     assert np.array_equal(invert_quarter(u, pexp, seed=seed), invert_quarter(u, pexp))
+
+
+@pytest.mark.parametrize("p", (1.02, 1.05, 1.1, 1.5, 2.41, 3.0, 5.0, 10.0, 20.0, 21.5))
+def test_conjugate_half_within_one_ulp_of_the_inline_form(p):
+    # the upper half of the quarter period takes (1 - s^p')^(1/p) from the
+    # shared log(1 - y^p); the inline form with its own logs that it replaced:
+    def old_upper_half(ft, t):
+        s = ft._dual.eval(0.5 - t)
+        with np.errstate(divide="ignore"):
+            w = ft.conj.p * np.log(s)
+            return np.where(s > 0.0, np.exp(np.log(-np.expm1(w)) / ft.pexp.p), 1.0)
+
+    ft = fe.fast_trig(p)
+    t = np.linspace(0.25, 0.5, 20_002)[1:]
+    ref = old_upper_half(ft, t)
+    assert np.all(np.abs(ft.sin_scaled(t) - ref) <= np.spacing(ref))

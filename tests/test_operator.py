@@ -1,6 +1,7 @@
 """Dilation operators, the truncated change-of-coordinates map, expansion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ class TestIsometry:
     def test_examples(self):
         assert isometry_check(lambda x: x, 3, 2.0) < 1e-8
         assert isometry_check(lambda x: np.cos(PI * x), 4, 3.0) < 1e-8
+
+    def test_tolerance_is_relative_to_the_integral(self):
+        # int |2 cos(pi x)|^50 is about 1e14, so an estimate of 1.6e-2 is well
+        # inside rel_tol = 1e-12 of it
+        assert isometry_check(lambda x: 2.0 * np.cos(PI * x), 2, 50.0) < 1e-12
+
+    def test_overflowing_norm_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                isometry_check(lambda x: 2.0 * np.cos(PI * x), 2, 1e300)
 
     def test_unresolved_singularity_raises(self):
         # |x^-0.4|^2 = x^-0.8 keeps ~1e-3 of its mass below the finest graded panel
@@ -326,7 +338,3 @@ class TestCosineVector:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite"):
                 CosineVector(np.array([1.0, bad]))
-
-    def test_flag_propagates(self):
-        v = CosineVector(np.array([1.0, 2.0]), dc_halved=False)
-        assert apply_dilation(v, 2).dc_halved is False
