@@ -33,6 +33,8 @@ from .errors import ConvergenceError, DomainError
 from .fourier import KIND_COSINE, _check_index, _odd_coeffs
 from .quadrature import graded_grid, halved_sum, integrate_panels
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(eq=False)
 class CosineVector:
@@ -140,18 +142,23 @@ def isometry_check(g, n: int, s: float, config: EvalConfig | None = None) -> flo
 
     Both norms come from `integrate_panels`, the dilated one with
     breakpoints at the fold points k/n of the periodic extension, so g
-    should be smooth inside (0, 1); an error estimate above config.rel_tol
-    times the integral of |g|^s, or an integral that overflows, raises
-    ConvergenceError.
+    should be smooth inside (0, 1).  Both integrate |g/M|^s, with M the
+    largest |g| on the base grid, so that |g|^s neither underflows nor
+    overflows on every node; M^s only rescales the norms, not their
+    ratio.  An error estimate above config.rel_tol times the integral, or
+    a norm ||g||_s^s beyond the largest double, raises ConvergenceError.
     """
     n = _check_index(n, 1, "isometry_check", "n")
     if not 1.0 < s < math.inf:
         raise DomainError(f"isometry_check requires a finite s > 1, got {s!r}")
-    base = _ls_norm_pow(g, s, [0.0, 1.0], config)
-    folds = np.arange(n + 1) / n
-    dilated = _ls_norm_pow(lambda x: _periodic_even(g, n * x), s, folds, config)
-    if base <= 0.0:
+    scale = float(np.max(np.abs(g(graded_grid([0.0, 1.0], 1.0)[0]))))
+    if scale == 0.0:
         raise DomainError("isometry check requires a function with positive norm")
+    base = _ls_norm_pow(lambda x: g(x) / scale, s, [0.0, 1.0], config)
+    if s * math.log(scale) + math.log(base) > _LOG_MAX:
+        raise ConvergenceError(f"isometry_check: ||g||_s^s overflows at s={s!r}")
+    folds = np.arange(n + 1) / n
+    dilated = _ls_norm_pow(lambda x: _periodic_even(g, n * x) / scale, s, folds, config)
     return abs((dilated / base) ** (1.0 / s) - 1.0)
 
 

@@ -9,7 +9,8 @@ reflection about pi_p/2, and 2*pi_p periodicity.  cos_p is its derivative,
 which on the principal branch equals (1 - sin_p^p)^(1/p).  F_p is computed
 by tanh-sinh quadrature (the integrand has an algebraic endpoint
 singularity at t = 1), and the inversion uses a safeguarded Newton
-iteration with bisection fallback inside the bracket [0, 1].  The public
+iteration with bisection fallback inside the bracket [0, 1]; a Newton
+step below one ulp probes 2 eps inward instead of bisecting.  The public
 functions start it from the cached Chebyshev table of p (_fast_eval),
 which is itself built from the classical-sine start.
 
@@ -30,6 +31,7 @@ from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
 
 _EPS = float(np.finfo(float).eps)
+_BLOCK = 1 << 15  # elements of one tanh-sinh row block: a few arrays of it stay in cache
 
 
 def check_exponent(p, name: str, lo: float = 1.0, hi: float = math.inf, var: str = "p") -> float:
@@ -180,7 +182,10 @@ def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol, max_levels):
 
     Each element freezes at its own first converged refinement level, so
     the result at a given y is bitwise independent of the rest of the
-    batch (callers may partition work arbitrarily).  F_p(1) is pi_p/2 by
+    batch (callers may partition work arbitrarily).  A level's active rows
+    are summed in blocks of at most _BLOCK nodes in all, which bounds the
+    temporaries whatever the batch size; each row is still its own
+    pairwise sum, so the blocks do not change a bit.  F_p(1) is pi_p/2 by
     the definition pi_p = 2 F_p(1); only y in (0, 1) is integrated, which
     keeps the tanh-sinh nodes off the singular endpoint.
     """
@@ -203,17 +208,21 @@ def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol, max_levels):
     active = np.ones(m, dtype=bool)
     for level in range(max_levels + 1):
         xi, one_minus_xi, w = _ts_level(level, t_max)
-        sub_half = half[active]
-        x = sub_half[:, None] * (1.0 + xi[None, :])
-        d = one_minus_y[active][:, None] + sub_half[:, None] * one_minus_xi[None, :]
-        # pairwise row sums: bitwise independent of the batch shape,
-        # unlike a BLAS matrix-vector product
-        cum[active] += np.sum(_fp_integrand(x, d, p) * w[None, :], axis=1)
-        new_vals = 2.0 ** (-level) * cum[active] * sub_half
-        vals[active] = new_vals
+        one_plus_xi = 1.0 + xi
+        rows = np.flatnonzero(active)
+        block = max(1, _BLOCK // xi.size)
+        for b in range(0, rows.size, block):
+            blk = rows[b : b + block]
+            x = half[blk, None] * one_plus_xi
+            d = one_minus_y[blk, None] + half[blk, None] * one_minus_xi
+            # pairwise row sums: bitwise independent of the batch shape and
+            # of the blocks, unlike a BLAS matrix-vector product
+            cum[blk] += np.sum(_fp_integrand(x, d, p) * w, axis=1)
+        new_vals = 2.0 ** (-level) * cum[rows] * half[rows]
+        vals[rows] = new_vals
         if level >= 1:
-            errs[active] = np.abs(new_vals - prev[active])
-        prev[active] = new_vals
+            errs[rows] = np.abs(new_vals - prev[rows])
+        prev[rows] = new_vals
         if level >= 2:
             active &= ~(errs <= rel_tol * np.abs(vals) + abs_tol)
             if not active.any():
@@ -251,7 +260,11 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
     A seed only moves the start: the acceptance rule below is the same
     either way, so any seed yields an answer with the same certificate.
     A bisection step replaces Newton whenever the iterate leaves the current
-    bracket or fails to halve the residual.  Termination is by residual
+    bracket or fails to halve the residual, except where the step leaves y
+    where it is (a step below one ulp, or the 0 step at y = 1): y then sits
+    on a bracket end, and moves 2 eps inward, while that stays inside the
+    bracket, so that the next residual closes the bracket to 4 eps instead
+    of a bisection back from [0, 1].  Termination is by residual
     tolerance, or, where F_p is too steep for any double to meet it (near
     pi_p/2), by bracket collapse: once the bracket is 4 eps wide the
     iteration stops, and halving outside the `max_newton_iters` budget
@@ -305,13 +318,16 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
         ok = met | narrow
         step = r * _cos_from_y(yl, p)
         y_new = yl - step
-        bisect = (
+        # a step that leaves y on its bracket end probes 2 eps inward
+        probe = yl - np.sign(r) * (2.0 * _EPS)
+        stuck = (y_new == yl) & (probe > cl) & (probe < hl)
+        bisect = ~stuck & (
             (~np.isfinite(y_new))
             | (y_new <= cl)
             | (y_new >= hl)
             | (np.abs(r) > 0.5 * np.abs(r_prev[idx]))
         )
-        y_new = np.where(bisect, 0.5 * (cl + hl), y_new)
+        y_new = np.where(stuck, probe, np.where(bisect, 0.5 * (cl + hl), y_new))
         lo[idx] = cl
         hi[idx] = hl
         y[idx] = np.where(ok, yl, y_new)

@@ -661,6 +661,19 @@ def _both(x, pe):
     return np.concatenate([sin_p(x, pe), cos_p(x, pe)])
 
 
+def _count_F_rows(monkeypatch):
+    """A list that collects the number of F_p rows of each later batch."""
+    rows = []
+    original = core._incomplete_F_batch
+
+    def counted(y, *args):
+        rows.append(np.size(y))
+        return original(y, *args)
+
+    monkeypatch.setattr(core, "_incomplete_F_batch", counted)
+    return rows
+
+
 class TestTableSeededInversion:
     """Public inversions start Newton from the cached table of p."""
 
@@ -698,14 +711,7 @@ class TestTableSeededInversion:
     def test_interior_points_take_one_or_two_rows(self, monkeypatch):
         pe = PExponent(3.0)
         sin_p(1.0, pe)  # the table is built outside the count
-        rows = []
-        original = core._incomplete_F_batch
-
-        def counted(y, *args):
-            rows.append(np.size(y))
-            return original(y, *args)
-
-        monkeypatch.setattr(core, "_incomplete_F_batch", counted)
+        rows = _count_F_rows(monkeypatch)
         u = np.random.default_rng(34).uniform(0.05, 0.95, 500) * pe.quarter
         sin_p(u, pe)
         assert sum(rows) <= 2 * u.size
@@ -743,3 +749,151 @@ def test_thread_safety_bitwise(rng):
     with ThreadPoolExecutor(max_workers=8) as pool:
         parts = list(pool.map(lambda c: sin_p(c, pe), chunks))
     assert np.array_equal(np.concatenate(parts), serial)
+
+
+def _reference_invert_quarter(u, pexp, seed=None):
+    """invert_quarter as it was before the sub-ulp probe, for bitwise checks.
+
+    Where a Newton step leaves y where it is, it bisects the bracket; every
+    other rule (start, bracket, residual test, collapse, halving to two
+    adjacent doubles, nearer end) is the one invert_quarter keeps.
+    """
+    cfg = core.DEFAULT_CONFIG
+    eps = core._EPS
+    u = np.asarray(u, dtype=float)
+    u_star = pexp.quarter
+    start = np.sin(np.pi * u / pexp.pi_p)
+    if seed is not None:
+        start = np.where(np.isfinite(seed), seed, start)
+    y = np.clip(start, 0.0, 1.0)
+    lo = np.zeros_like(u)
+    hi = np.ones_like(u)
+    r_lo = -u
+    r_hi = u_star - u
+    at0 = u <= 0.0
+    at1 = u >= u_star * (1.0 - 4.0 * eps)
+    y[at0] = 0.0
+    y[at1] = 1.0
+    done = at0 | at1
+    collapsed = np.zeros(u.shape, dtype=bool)
+    r_prev = np.full_like(u, np.inf)
+    qrel = max(cfg.rel_tol / 20.0, 4.0 * eps)
+    qabs = cfg.abs_tol / 10.0
+
+    def residual(idx, yl):
+        F, Ferr = core._incomplete_F_batch(yl, pexp, qrel, qabs, cfg.quad_levels)
+        r = F - u[idx]
+        tol = np.maximum(cfg.abs_tol + 8.0 * eps * u[idx], 4.0 * Ferr)
+        return r, np.abs(r) <= tol
+
+    for _ in range(cfg.max_newton_iters):
+        if done.all():
+            break
+        idx = ~done
+        yl = y[idx]
+        r, met = residual(idx, yl)
+        hl = np.where(r > 0.0, np.minimum(hi[idx], yl), hi[idx])
+        cl = np.where(r < 0.0, np.maximum(lo[idx], yl), lo[idx])
+        r_hi[idx] = np.where(r > 0.0, r, r_hi[idx])
+        r_lo[idx] = np.where(r < 0.0, r, r_lo[idx])
+        narrow = ~met & (hl - cl <= 4.0 * eps)
+        ok = met | narrow
+        y_new = yl - r * _cos_from_y(yl, pexp.p)
+        bisect = (
+            (~np.isfinite(y_new))
+            | (y_new <= cl)
+            | (y_new >= hl)
+            | (np.abs(r) > 0.5 * np.abs(r_prev[idx]))
+        )
+        y_new = np.where(bisect, 0.5 * (cl + hl), y_new)
+        lo[idx] = cl
+        hi[idx] = hl
+        y[idx] = np.where(ok, yl, y_new)
+        r_prev[idx] = np.abs(r)
+        done[idx] |= ok
+        collapsed[idx] = narrow
+    assert done.all()
+    halving = collapsed & (np.nextafter(lo, 2.0) < hi)
+    while halving.any():
+        idx = halving.copy()
+        mid = 0.5 * (lo[idx] + hi[idx])
+        r, met = residual(idx, mid)
+        hi[idx] = np.where(r > 0.0, mid, hi[idx])
+        lo[idx] = np.where(r < 0.0, mid, lo[idx])
+        r_hi[idx] = np.where(r > 0.0, r, r_hi[idx])
+        r_lo[idx] = np.where(r < 0.0, r, r_lo[idx])
+        y[idx] = mid
+        collapsed[idx] = ~met
+        halving[idx] = ~met & (np.nextafter(lo[idx], 2.0) < hi[idx])
+    nearer = np.where(np.abs(r_lo) <= np.abs(r_hi), lo, hi)
+    return np.where(collapsed, nearer, y)
+
+
+class TestSubUlpProbe:
+    """A Newton step below one ulp probes 2 eps inward instead of bisecting."""
+
+    @pytest.mark.parametrize("p", SEEDED_P)
+    def test_public_values_equal_the_bisecting_loop(self, p):
+        pe = PExponent(p)
+        x = np.random.default_rng(36).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 600)
+        t, s_sign, c_sign = reduce_argument(x / pe.pi_p)
+        u = pe.pi_p * t
+        y = _reference_invert_quarter(u, pe, fast_trig(p)._quarter_sin(u / pe.pi_p))
+        assert np.array_equal(sin_p(x, pe), s_sign * y)
+        assert np.array_equal(cos_p(x, pe), c_sign * _cos_from_y(y, p))
+
+    @pytest.mark.parametrize("p", (1.2, 2.43, 10.0))
+    def test_classical_start_equals_the_bisecting_loop(self, p):
+        # u stays at least 3e-8 (relative) below pi_p/2, where the classical
+        # start is below 1; test_one_ulp_bracket_at_large_p covers a start of 1
+        pe = PExponent(p)
+        rng = np.random.default_rng(37)
+        u = np.concatenate([rng.uniform(0.0, pe.quarter, 300),
+                            pe.quarter * (1.0 - 10.0 ** -rng.uniform(0.0, 7.5, 100))])
+        assert np.array_equal(invert_quarter(u, pe), _reference_invert_quarter(u, pe))
+
+    def test_row_budget_at_small_p(self, monkeypatch):
+        pe = PExponent(1.1)
+        sin_p(1.0, pe)  # the table is built outside the count
+        rows = _count_F_rows(monkeypatch)
+        x = np.random.default_rng(38).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 2000)
+        sin_p(x, pe)
+        # the bisecting loop took 14.8 rows per point here
+        assert sum(rows) <= 3 * x.size
+
+    def test_one_ulp_bracket_at_large_p(self):
+        # the table of p = 50 is refused, so Newton starts from the classical
+        # sine, which is 1 here: its step is 0, and the probe moves some
+        # results off the bisecting loop's double, within the residual test
+        pe = PExponent(50.0)
+        x = pe.quarter - np.random.default_rng(39).uniform(0.0, 3e-9, 1000)
+        assert _one_ulp_miss(x, sin_p(x, pe), pe) <= 1e-11
+
+
+class TestRowBlocks:
+    """_incomplete_F_batch sums its rows in blocks of at most _BLOCK elements."""
+
+    @pytest.mark.parametrize("p", (1.1, 3.0))
+    def test_block_size_and_split_invariance(self, p, monkeypatch):
+        pe = PExponent(p)
+        y = np.random.default_rng(40).uniform(0.0, 1.0, 2000)
+        full = incomplete_F(y, pe)
+        monkeypatch.setattr(core, "_BLOCK", 64)
+        parts = np.concatenate([incomplete_F(part, pe) for part in np.split(y, [1, 7, 300, 1999])])
+        assert np.array_equal(incomplete_F(y, pe), full)
+        assert np.array_equal(parts, full)
+
+    def test_transient_memory_of_one_call(self):
+        import tracemalloc
+
+        pe = PExponent(1.1)
+        sin_p(1.0, pe)  # the table is built outside the measurement
+        x = np.random.default_rng(41).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 2000)
+        tracemalloc.start()
+        try:
+            sin_p(x, pe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole-batch rows peaked at 9.4 MB here
+        assert peak <= 3e6

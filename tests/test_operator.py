@@ -90,6 +90,16 @@ class TestIsometry:
             with pytest.raises(ConvergenceError):
                 isometry_check(lambda x: 2.0 * np.cos(PI * x), 2, 1e300)
 
+    def test_norm_below_the_underflow_of_its_power(self):
+        # |0.5 cos(pi x)|^1e4 underflows on every node; the norms integrate
+        # |g / max|g||^s, so a positive multiple of g gives the same ratio
+        half = isometry_check(lambda x: 0.5 * np.cos(PI * x), 2, 1e4)
+        assert half == isometry_check(lambda x: np.cos(PI * x), 2, 1e4) == 0.0
+
+    def test_zero_function_raises(self):
+        with pytest.raises(DomainError, match="positive norm"):
+            isometry_check(lambda x: 0.0 * x, 2, 2.0)
+
     def test_unresolved_singularity_raises(self):
         # |x^-0.4|^2 = x^-0.8 keeps ~1e-3 of its mass below the finest graded panel
         with pytest.raises(ConvergenceError):
