@@ -2,7 +2,7 @@
 
 The coefficient banks need about 10^5 sin_p/cos_p values per exponent
 and kind up to j = 1023, which rules out a Newton inversion per point.  This module
-builds, once per exponent, piecewise Chebyshev tables of
+builds, once per exponent, tables of
 
     S_p(t) = sin_p(pi_p t),   t in [0, 1/4],
 
@@ -15,14 +15,19 @@ exponent via
     cos_p(pi_p t)  = sin_p'(pi_p' (1/2 - t))^(p'-1)
 
 so every evaluation lands in a region where the table is accurate to
-near machine precision.  The tables grade dyadically toward t = 0, where
-sin_p has a u^(p+1) branch point, and switch to a three-term series once
-the truncation error of the series is below 1e-17.  Table nodes are
-produced by the safeguarded Newton inversion started from the classical
-sine, so no table value depends on a table.  Construction is probed at
-33 points: Newton started from the table itself runs until its residual
-test accepts, which certifies the reference whatever the start, and a
-table that disagrees with the reference is refused (ConvergenceError).
+near machine precision.  Each table is the power series of sin_p in
+w = u^p, found by series reversion: its coefficients follow from
+y' = (1 - y^p)^(1/p) by Miller's recurrence for powers of a series.  It
+serves t up to t_floor, the largest 2^-n/4 where it has converged to
+double precision, which is all of [0, 1/4] from p = 1.2 up.  Only above
+t_floor, where the series of p below 1.2 converges too slowly, do dyadic
+intervals remain, fitted by Chebyshev polynomials to the safeguarded
+Newton inversion started from the classical sine, so no table value
+depends on a table.  Construction is probed at 33 points: Newton started
+from the table itself runs until its residual test accepts, which
+certifies the reference whatever the start, and a table that disagrees
+with the reference is refused (ConvergenceError), so the series is
+checked by a route independent of it.
 The public functions start the same inversion from these tables.
 """
 
@@ -47,27 +52,57 @@ _VAN = chebyshev.chebvander(_REF, _DEG)
 _SCALE = np.sqrt(np.square(_VAN.T).sum(1))
 _FIT = _VAN / _SCALE
 _RCOND = _REF.size * np.finfo(float).eps
+_TERMS = 64  # most power series terms per exponent
+_TAIL = 8  # trailing terms that must be negligible where the series serves
+
+
+def _series(p: float, w_top: float) -> np.ndarray:
+    """Coefficients e_m of sin_p(u) = u * sum_m e_m w^m, w = u^p, e_0 = 1.
+
+    sin_p solves y' = (1 - y^p)^(1/p).  With y = u h(w) and h = sum e_m w^m,
+    y' = sum (mp + 1) e_m w^m and y^p = w k with k = h^p, so
+    e_m = d_m / (mp + 1) for d = (1 - w k)^(1/p).  Both powers come from
+    J. C. P. Miller's recurrence for a power of a power series (Knuth,
+    TAOCP Vol. 2, 4.7), each d_m and k_m from the terms before it.  The
+    recurrence stops once the series passes `_converged` at w_top, and
+    after _TERMS terms at most.
+    """
+    e, k, d = (np.zeros(_TERMS) for _ in range(3))
+    e[0] = k[0] = d[0] = 1.0
+    j = np.arange(1.0, _TERMS)
+    for n in range(1, _TERMS):
+        # Miller's weights (a + 1) j - n, as a j + (j - n) with j - n exact;
+        # coefficient j of 1 - w k is -k_(j-1)
+        d[n] = -np.dot((j[:n] / p + (j[:n] - n)) * k[:n], d[n - 1 :: -1]) / n
+        e[n] = d[n] / (n * p + 1.0)
+        k[n] = np.dot((j[:n] * p + (j[:n] - n)) * e[1 : n + 1], k[n - 1 :: -1]) / n
+        if n >= _TAIL and _converged(e[: n + 1], w_top):
+            return e[: n + 1]
+    return e
+
+
+def _converged(e, w) -> bool:
+    """Whether the series serves w: its last _TAIL terms e_m w^m are below
+    2^-60 of the first (which is 1) and their absolute sum is at most 4."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN terms fail
+        terms = np.abs(e) * w ** np.arange(e.size)
+    return bool(terms[-_TAIL:].max() <= 2.0**-60 and terms.sum() <= 4.0)
 
 
 class _QuarterTable:
-    """Piecewise Chebyshev model of sin_p(pi_p t) on [0, 1/4]."""
+    """sin_p(pi_p t) on [0, 1/4]: its power series up to t_floor, and
+    piecewise Chebyshev above it."""
 
     def __init__(self, pexp: PExponent):
         p = pexp.p
         self.p = p
         self.pi_p = pexp.pi_p
-        # series sin_p(u) = u - s1 u^(p+1) + s2 u^(2p+1) + O(u^(3p+1))
-        self.s1 = 1.0 / (p * (p + 1.0))
-        self.s2 = (-p * p + 2.0 * p + 1.0) / (2.0 * p * p * (p + 1.0) * (2.0 * p + 1.0))
-        u_series = 10.0 ** (-17.0 / (3.0 * p + 1.0))
-        t_series = u_series / pexp.pi_p
-        if t_series >= _T_TOP:
-            self.n_intervals = 0
-            self.t_floor = _T_TOP
-            self.coefs = np.zeros((0, _DEG + 1))
-            self._rows = self.coefs.T
-            return
-        self.n_intervals = max(1, math.ceil(math.log2(_T_TOP / t_series)))
+        self.series = _series(p, (self.pi_p * _T_TOP) ** p)
+        # t_floor is the largest 2^-n / 4 the series serves; the n dyadic
+        # intervals above it are tabulated
+        self.n_intervals = 0
+        while not _converged(self.series, (self.pi_p * _T_TOP * 2.0 ** -self.n_intervals) ** p):
+            self.n_intervals += 1
         self.t_floor = _T_TOP * 2.0 ** (-self.n_intervals)
         k = np.arange(self.n_intervals)
         his = _T_TOP * 2.0 ** (-k)
@@ -88,11 +123,16 @@ class _QuarterTable:
         t = np.asarray(t, dtype=float)
         out = np.empty_like(t)
         # without intervals the series serves all of [0, 1/4]
-        series = (t < self.t_floor) | (self.n_intervals == 0)
+        series = (t <= self.t_floor) | (self.n_intervals == 0)
         if series.any():
+            # Horner in w = u^p
             u = self.pi_p * t[series]
-            up = u ** (self.p + 1.0)
-            out[series] = u - self.s1 * up + self.s2 * up * u**self.p
+            w = u**self.p
+            acc = np.full_like(w, self.series[-1])
+            for c in self.series[-2::-1]:
+                acc *= w
+                acc += c
+            out[series] = u * acc
         rest = ~series
         if rest.any():
             tr = np.minimum(t[rest], _T_TOP)

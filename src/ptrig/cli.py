@@ -195,6 +195,7 @@ def _cmd_criterion(args, cfg, stamp):
         "b1": report.b1,
         "tail_computed": report.tail_computed,
         "tail_remainder_bound": report.tail_remainder_bound,
+        "quadrature_err": report.quadrature_err,
         "margin": report.margin,
         "holds": report.holds,
     }

@@ -11,8 +11,9 @@ by tanh-sinh quadrature (the integrand has an algebraic endpoint
 singularity at t = 1), and the inversion uses a safeguarded Newton
 iteration with bisection fallback inside the bracket [0, 1]; a Newton
 step below one ulp probes 2 eps inward instead of bisecting.  The public
-functions start it from the cached Chebyshev table of p (_fast_eval),
-which is itself built from the classical-sine start.
+functions start it from the cached table of p (_fast_eval), whose
+Chebyshev intervals, where it has any, are built from the classical-sine
+start.
 
 All quadrant and sign logic follows the extension rules of the p-sine;
 there are no trigonometric shortcuts for p != 2.
@@ -256,21 +257,21 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
 
     The initial guess is `seed` (an array shaped like u, clipped to
     [0, 1]) or, without one or where it is not finite, the classical sine
-    of the rescaled argument.
+    of the rescaled argument; a guess of exactly 1 below pi_p/2 is replaced
+    by the leading term of the expansion at pi_p/2.
     A seed only moves the start: the acceptance rule below is the same
     either way, so any seed yields an answer with the same certificate.
     A bisection step replaces Newton whenever the iterate leaves the current
-    bracket or fails to halve the residual, except where the step leaves y
-    where it is (a step below one ulp, or the 0 step at y = 1): y then sits
-    on a bracket end, and moves 2 eps inward, while that stays inside the
-    bracket, so that the next residual closes the bracket to 4 eps instead
-    of a bisection back from [0, 1].  Termination is by residual
-    tolerance, or, where F_p is too steep for any double to meet it (near
-    pi_p/2), by bracket collapse: once the bracket is 4 eps wide the
-    iteration stops, and halving outside the `max_newton_iters` budget
-    narrows it to two adjacent doubles, so the exact root lies within one
-    ulp of the result.  Arguments within 4 eps (relative) of pi_p/2 map
-    to 1.
+    bracket or fails to halve the residual, except where a step below one
+    ulp leaves y where it is: y then sits on a bracket end, and moves 2 eps
+    inward, while that stays inside the bracket, so that the next residual
+    closes the bracket to 4 eps instead of a bisection back from [0, 1].
+    Termination is by residual tolerance, or, where F_p is too steep for
+    any double to meet it (near pi_p/2), by bracket collapse: once the
+    bracket is 4 eps wide the iteration stops, and halving outside the
+    `max_newton_iters` budget narrows it to two adjacent doubles, so the
+    exact root lies within one ulp of the result.  Arguments within 4 eps
+    (relative) of pi_p/2 map to 1.
     """
     cfg = config or DEFAULT_CONFIG
     u = np.asarray(u, dtype=float)
@@ -292,6 +293,12 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
     at1 = u >= u_star * (1.0 - 4.0 * _EPS)
     y[at0] = 0.0
     y[at1] = 1.0
+    # Newton's step is 0 at y = 1: start there from the leading term of
+    # F_p(1) - F_p(y) = p^(-1/p) (1 - y)^(1/p') / (1 - 1/p) + ... instead
+    top = (y == 1.0) & ~at1
+    if top.any():
+        gap = (u_star - u[top]) * (1.0 - 1.0 / p) * p ** (1.0 / p)
+        y[top] = np.clip(1.0 - gap**pexp.p_conj, 0.0, 1.0 - _EPS)
     done |= at0 | at1
     collapsed = np.zeros(u.shape, dtype=bool)
     r_prev = np.full_like(u, np.inf)
@@ -485,14 +492,18 @@ def d2cos_p(x, p, config: EvalConfig | None = None):
 
     Equals sin_p^(p-2) * cos_p^(3-2p) * (2 - p - cos_p^p); the sign change
     of the bracket locates the extremum of the rescaled derivative.  The
-    endpoints are singular for p != 2 and are rejected; as in dcos_p, for
-    p > 2 arguments where cos_p underflows below 1e-13 return -inf.
+    endpoints are singular for p != 2 and are rejected.  p = 2 returns
+    -cos x.  Where cos_p underflows below 1e-13, p > 2 returns -inf, as in
+    dcos_p, and 1.5 < p < 2 returns +inf (where sin_p rounds to 1): the
+    true value diverges to that side at pi_p/2.
     """
     pexp = PExponent.of(p)
     arr, scalar = _as_batch(x)
     if np.any(arr <= 0.0) or np.any(arr >= pexp.quarter):
         raise DomainError("d2cos_p requires x strictly inside (0, pi_p/2)")
     p = pexp.p
+    if p == 2.0:  # where sin_p rounds to 1 the product below is inf * 0
+        return _scalar_or_array(-np.cos(arr), scalar)
     y = _invert(arr, pexp, config)
     L = _log_one_minus_pow(y, 1.0 - y, p)  # log(1 - y^p) = p log cos_p
     c = np.exp(L / p)

@@ -161,6 +161,13 @@ class TestCriterion:
         (rec,) = parse_ndjson(out)
         assert rec["results"]["holds"] is True
 
+    def test_margin_subtracts_every_recorded_term(self, capsys):
+        code, out, _ = run_cli(capsys, "criterion", "--p", "1.46", "--J", "199")
+        (res,) = (rec["results"] for rec in parse_ndjson(out))
+        assert res["quadrature_err"] > 0.0
+        assert res["margin"] == (abs(res["b1"]) - res["tail_computed"]
+                                 - res["tail_remainder_bound"] - res["quadrature_err"])
+
 
 class TestThresholds:
     def test_reference_windows(self, capsys, schema):

@@ -476,6 +476,19 @@ class TestD2cosP:
             warnings.simplefilter("error")
             assert d2cos_p(pi_p(3.0) / 2.0 * (1.0 - 1e-15), 3.0) == -math.inf
 
+    @pytest.mark.parametrize("k", range(8, 17))
+    @pytest.mark.parametrize("p", (1.2, 1.5, 1.7, 2.0, 3.0))
+    def test_near_the_quarter_point(self, p, k):
+        # sin_p rounds to 1 there at most of these p; p = 2 returns -cos x,
+        # 1.7 < 2 returns +inf where it diverges, and 3 > 2 returns -inf
+        x = pi_p(p) / 2.0 * (1.0 - 10.0**-k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = d2cos_p(x, p)
+        assert not math.isnan(value)
+        if p == 2.0:
+            assert value == -math.cos(x)
+
     def test_rejects_endpoints(self):
         with pytest.raises(DomainError):
             d2cos_p(0.0, 1.5)
@@ -861,9 +874,21 @@ class TestSubUlpProbe:
         # the bisecting loop took 14.8 rows per point here
         assert sum(rows) <= 3 * x.size
 
+    @pytest.mark.parametrize("p", (30.0, 50.0))
+    def test_start_of_one_takes_one_row(self, p, monkeypatch):
+        # the tables of these p are refused, so Newton would start from the
+        # classical sine, 1.0 here, whose step is 0: about 31 rows per point
+        # bisecting back from [0, 1]; the leading term at pi_p/2 starts below 1
+        pe = PExponent(p)
+        sin_p(1.0, pe)  # the table refusal is paid outside the count
+        rows = _count_F_rows(monkeypatch)
+        x = pe.quarter - np.random.default_rng(42).uniform(0.0, 3e-9, 1000)
+        sin_p(x, pe)
+        assert sum(rows) <= 1.1 * x.size
+
     def test_one_ulp_bracket_at_large_p(self):
-        # the table of p = 50 is refused, so Newton starts from the classical
-        # sine, which is 1 here: its step is 0, and the probe moves some
+        # the table of p = 50 is refused and the classical sine is 1 here, so
+        # Newton starts from the leading term at pi_p/2: that moves some
         # results off the bisecting loop's double, within the residual test
         pe = PExponent(50.0)
         x = pe.quarter - np.random.default_rng(39).uniform(0.0, 3e-9, 1000)

@@ -1,13 +1,15 @@
-"""The Chebyshev tables of _fast_eval: bitwise pins and the construction probe.
+"""The tables of _fast_eval: bitwise pins, the power series and the construction probe.
 
 The references below are the straightforward forms of the table fit and
-the table evaluation: one `chebyshev.chebfit` per interval, and a Clenshaw
-recurrence over per-point coefficient rows.  The library's forms must
-agree with them bit for bit, because the probe leaves the tables little
-margin (a 3e-16 move of one table is enough to refuse fast_trig(20)).
+the table evaluation: one `chebyshev.chebfit` per interval, a plain
+Horner sum over the series coefficients, and a Clenshaw recurrence over
+per-point coefficient rows.  The library's forms must agree with them bit
+for bit, because the probe leaves the tables little margin (a 3e-16 move
+of one table is enough to refuse fast_trig(20)).
 """
 
 import copy
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +17,8 @@ import pytest
 from numpy.polynomial import chebyshev
 
 import ptrig._fast_eval as fe
+from conftest import sin_p_oracle
+from ptrig import pi_p
 from ptrig.config import DEFAULT_CONFIG
 from ptrig.core import PExponent, invert_quarter
 from ptrig.errors import ConvergenceError
@@ -33,13 +37,17 @@ def _chebfit_coefs(p):
 
 
 def _row_clenshaw(table, t):
-    """The table's value at t by Clenshaw over per-point coefficient rows."""
+    """The table's value at t: Horner over its series up to t_floor, above
+    it Clenshaw over per-point coefficient rows."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
-    series = (t < table.t_floor) | (table.n_intervals == 0)
+    series = (t <= table.t_floor) | (table.n_intervals == 0)
     u = table.pi_p * t[series]
-    up = u ** (table.p + 1.0)
-    out[series] = u - table.s1 * up + table.s2 * up * u**table.p
+    w = u**table.p
+    acc = np.full_like(w, table.series[-1])
+    for c in table.series[-2::-1]:
+        acc = acc * w + c
+    out[series] = u * acc
     rest = ~series
     tr = np.minimum(t[rest], 0.25)
     with np.errstate(divide="ignore"):
@@ -56,8 +64,9 @@ def _row_clenshaw(table, t):
     return out
 
 
-@pytest.mark.parametrize("p", (1.1, 1.46, 3.0, 20.0 / 19.0))
+@pytest.mark.parametrize("p", (1.02, 1.05, 1.1, 20.0 / 19.0))
 def test_fit_equals_chebfit(p):
+    # only exponents below about 1.2 keep intervals above the series
     coefs = fe._quarter_table(p).coefs
     assert coefs.shape[0] > 0
     assert coefs.tobytes() == _chebfit_coefs(p).tobytes()
@@ -79,29 +88,89 @@ def test_eval_equals_row_clenshaw(p, n):
     assert table.eval(t).tobytes() == _row_clenshaw(table, t).tobytes()
 
 
-def _moved(table, change):
-    """A copy of table with coefficient 0 of its first interval changed."""
+def _moved(table, part, change):
+    """A copy of table with one coefficient changed: coefficient 0 of its
+    first interval, or the series coefficient e_1."""
     bad = copy.copy(table)
-    bad.coefs = table.coefs.copy()
-    bad.coefs[0, 0] = change(bad.coefs[0, 0])
-    bad._rows = np.ascontiguousarray(bad.coefs.T)
+    if part == "interval":
+        bad.coefs = table.coefs.copy()
+        bad.coefs[0, 0] = change(bad.coefs[0, 0])
+        bad._rows = np.ascontiguousarray(bad.coefs.T)
+    else:
+        bad.series = table.series.copy()
+        bad.series[1] = change(bad.series[1])
     return bad
 
 
-@pytest.mark.parametrize("q", (1.5, 3.0), ids=("own", "dual"))
+@pytest.mark.parametrize(
+    "cases",
+    # (FastPTrig's exponent, the table changed, its part): FastPTrig(1.5)
+    # reads the series of 1.5 and 3.0, FastPTrig(1.1) and (11) interval 0 of 1.1
+    (((1.5, 1.5, "series"), (1.1, 1.1, "interval")),
+     ((1.5, 3.0, "series"), (11.0, 1.1, "interval"))),
+    ids=("own", "dual"),
+)
 @pytest.mark.parametrize(
     "change", (lambda c: c + 1e-9, lambda c: np.nan), ids=("moved_1e-9", "nan")
 )
-def test_probe_refuses_a_wrong_table(q, change, monkeypatch):
+def test_probe_refuses_a_wrong_table(cases, change, monkeypatch):
     # the probe's Newton reference starts from the table, yet must not
-    # inherit the table's error: FastPTrig(1.5) reads table 1.5 and 3.0
+    # inherit the table's error
     original = fe._quarter_table
-    bad = _moved(original(q), change)
-    monkeypatch.setattr(fe, "_quarter_table", lambda p: bad if p == q else original(p))
-    with pytest.raises(ConvergenceError, match="failed validation"):
-        fe.FastPTrig(1.5)
-    monkeypatch.undo()
-    fe.FastPTrig(1.5)  # the true tables pass
+    for p, q, part in cases:
+        bad = _moved(original(q), part, change)
+        monkeypatch.setattr(fe, "_quarter_table", lambda r: bad if r == q else original(r))
+        with pytest.raises(ConvergenceError, match="failed validation"):
+            fe.FastPTrig(p)
+        monkeypatch.undo()
+        fe.FastPTrig(p)  # the true tables pass
+
+
+@pytest.mark.parametrize("p", (1.0001, 1.02, 1.1, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 21.5, 1e3))
+def test_series_starts_with_the_closed_form_terms(p):
+    # sin_p(u) = u - u^(p+1)/(p(p+1)) + s2 u^(2p+1) + ...; e_2 has a zero at
+    # p = 1 + sqrt(2), near which neither form keeps its relative accuracy
+    e = fe._quarter_table(p).series
+    s1 = 1.0 / (p * (p + 1.0))
+    s2 = (-p * p + 2.0 * p + 1.0) / (2.0 * p * p * (p + 1.0) * (2.0 * p + 1.0))
+    assert e[0] == 1.0
+    assert abs(e[1] + s1) <= 2.0 * np.spacing(s1)
+    assert abs(e[2] - s2) <= 2.0 * np.spacing(abs(s2))
+
+
+def test_series_at_p2_is_the_taylor_series_of_sin():
+    table = fe._quarter_table(2.0)
+    assert table.n_intervals == 0
+    m = np.arange(table.series.size)
+    taylor = np.array([(-1.0) ** k / math.factorial(2 * k + 1) for k in m])
+    u = np.pi / 4.0  # t = 1/4
+    assert np.max(np.abs(table.series - taylor) * u ** (2 * m + 1)) <= 1e-17
+
+
+# sup |sin_scaled - betaincinv^(1/p)| on 20,001 points of [0, 1/2] for the
+# tables of the previous layout (a three-term series below up to 27
+# Newton-fitted intervals)
+SUP_ERROR_BEFORE = {
+    1.02: 9.478529072737274e-15,
+    1.05: 9.818534874028728e-15,
+    1.1: 9.943434964299058e-15,
+    1.19: 8.534839501805891e-15,
+    1.2: 9.284240043427872e-15,
+    1.46: 1.3572476476042539e-14,
+    2.41: 9.540979117872439e-15,
+    3.0: 1.0477729794899915e-14,
+    5.0: 1.3988810110276972e-14,
+    10.0: 2.19824158875781e-14,
+    20.0: 8.82516282274537e-12,
+    21.5: 2.32172059355662e-11,
+}
+
+
+@pytest.mark.parametrize("p", SUP_ERROR_BEFORE)
+def test_tables_no_farther_from_betaincinv(p):
+    t = np.linspace(0.0, 0.5, 20_001)
+    err = np.max(np.abs(fe.fast_trig(p).sin_scaled(t) - sin_p_oracle(pi_p(p) * t, p)))
+    assert err <= SUP_ERROR_BEFORE[p]
 
 
 @pytest.mark.parametrize("p", (100.0, 1000.0))

@@ -13,12 +13,17 @@ order alternates from pair to pair (the parent goes first in pairs 0, 2,
 ...), so that slow drift in the load of a shared machine falls on both
 sides alike.  perfbench/ itself is not modified or imported.
 
+After a workload's pairs, `perfbench/run.py --trace 1` runs once in each
+tree, and its count-unit per-layer metrics (counters such as
+`core.invert.points`, which repeat exactly for a given seed) are kept.
+
 The output file holds, per workload, each run's three end-to-end metrics,
-its round-0 digest and its failure count, and for each side its commit
-and the sha256 of its src/ (as run.py reports it).  A summary per
-workload gives each metric's median on both sides, the parent/change
-ratio of the medians, in how many pairs the change was lower, and
-whether every pair's round-0 digests were equal.
+its round-0 digest and its failure count, each side's traced counts, and
+for each side its commit and the sha256 of its src/ (as run.py reports
+it).  A summary per workload gives each metric's median on both sides,
+the parent/change ratio of the medians, in how many pairs the change was
+lower, whether every pair's round-0 digests were equal, and whether the
+two sides' traced counts were equal (`counts_equal`).
 """
 
 from __future__ import annotations
@@ -57,16 +62,21 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=git("archive", rev), check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `run.py --trace 0` in tree: its metrics, digest, failures, src sha256."""
+def run_py(tree: Path, workload: str, seed: int, seconds: float, trace: int):
+    """One `run.py` in tree: its detail line and its result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"bench_pairs: {workload} in {tree} failed:\n{proc.stderr[-2000:]}")
-    detail, result = json.loads(lines[-2]), json.loads(lines[-1])
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `run.py --trace 0` in tree: its metrics, digest, failures, src sha256."""
+    detail, result = run_py(tree, workload, seed, seconds, 0)
     return {
         **{name: result["metrics"][name]["value"] for name in METRICS},
         "failed": result["failed"],
@@ -77,9 +87,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def summary(pairs: list) -> dict:
+def traced_counts(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `run.py --trace 1` in tree: its count-unit metrics and failures."""
+    _, result = run_py(tree, workload, seed, seconds, 1)
+    return {"failed": result["failed"],
+            "counts": {name: m["value"] for name, m in result["metrics"].items()
+                       if m["unit"] == "count"}}
+
+
+def summary(pairs: list, traced: dict) -> dict:
     out = {"digests_equal": all(pair["parent"]["digest"] == pair["change"]["digest"]
-                                for pair in pairs)}
+                                for pair in pairs),
+           "counts_equal": traced["parent"]["counts"] == traced["change"]["counts"]}
     for name in METRICS:
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
@@ -115,7 +134,12 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} {side}: "
                           + ", ".join(f"{k} {run[k]:.4g}" for k in METRICS), flush=True)
                 pairs.append(pair)
-            workloads[workload] = {"pairs": pairs, "summary": summary(pairs)}
+            traced = {side: traced_counts(trees[side], workload, args.seed, args.seconds)
+                      for side in ("parent", "change")}
+            workloads[workload] = {"pairs": pairs, "traced": traced,
+                                   "summary": summary(pairs, traced)}
+            print(f"{workload} traced counts equal: "
+                  f"{workloads[workload]['summary']['counts_equal']}", flush=True)
     report = {
         "parent": {"commit": parent_commit,
                    "src_sha256": next(iter(workloads.values()))["pairs"][0]["parent"]["src_sha256"]},
