@@ -65,18 +65,24 @@ def _series(p: float, w_top: float) -> np.ndarray:
     J. C. P. Miller's recurrence for a power of a power series (Knuth,
     TAOCP Vol. 2, 4.7), each d_m and k_m from the terms before it.  The
     recurrence stops once the series passes `_converged` at w_top, and
-    after _TERMS terms at most.
+    after _TERMS terms at most.  `_converged` is only tried once the last
+    _TAIL terms each pass its tail rule with slack, a weaker test, so the
+    stopping n is the same.
     """
     e, k, d = (np.zeros(_TERMS) for _ in range(3))
     e[0] = k[0] = d[0] = 1.0
     j = np.arange(1.0, _TERMS)
+    with np.errstate(over="ignore"):  # an inf power fails the test below
+        w_pow = w_top ** np.arange(_TERMS)
+    passing = 0
     for n in range(1, _TERMS):
         # Miller's weights (a + 1) j - n, as a j + (j - n) with j - n exact;
         # coefficient j of 1 - w k is -k_(j-1)
         d[n] = -np.dot((j[:n] / p + (j[:n] - n)) * k[:n], d[n - 1 :: -1]) / n
         e[n] = d[n] / (n * p + 1.0)
         k[n] = np.dot((j[:n] * p + (j[:n] - n)) * e[1 : n + 1], k[n - 1 :: -1]) / n
-        if n >= _TAIL and _converged(e[: n + 1], w_top):
+        passing = passing + 1 if abs(e[n]) * w_pow[n] <= 2.0**-59 else 0
+        if passing >= _TAIL and _converged(e[: n + 1], w_top):
             return e[: n + 1]
     return e
 
@@ -185,7 +191,9 @@ class FastPTrig:
             out[low] = self._own.eval(t[low])
         high = ~low
         if high.any():
-            s = self._dual.eval(0.5 - t[high])
+            # a Chebyshev interval of p' near 1 can read an ulp above 1,
+            # where 1 - s^p' < 0 would meet the log
+            s = np.minimum(self._dual.eval(0.5 - t[high]), 1.0)
             # (1 - s^p')^(1/p), exactly 1 at the quarter point where s = 0
             out[high] = np.exp(_log_one_minus_pow(s, 1.0 - s, self.conj.p) / self.pexp.p)
         return out
@@ -210,6 +218,9 @@ class FastPTrig:
 
     def cos_scaled(self, t):
         """cos_p(pi_p t) for any real t."""
+        t = np.asarray(t, dtype=float)
+        if np.all((t >= 0.0) & (t <= 0.5)):  # where reduce_argument is the identity
+            return self._quarter_cos(t)
         tq, _, c_sign = reduce_argument(t)
         return c_sign * self._quarter_cos(tq)
 

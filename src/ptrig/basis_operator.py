@@ -191,7 +191,7 @@ def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> fl
     samples times cos(k pi x), with the constant coefficient halved to
     match the coefficient-space convention of the operator columns.  It
     takes one plain sum per k and shares neither the banks' FFTs nor their
-    recurrence.  An error estimate above config.rel_tol raises
+    end-panel moments.  An error estimate above config.rel_tol raises
     ConvergenceError.
     """
     pexp = PExponent.of(p)

@@ -7,10 +7,12 @@ odd j in (T/2, T] for T = 2^k - 1).  A bank samples cos_p(pi_p x) once on
 the graded grid of ptrig.quadrature over [0, 1/2], with panels
 1/(2(T+1)) wide, a quarter oscillation of cos(T pi x), graded dyadically
 into both endpoint singularities.  On the uniform panels the sums over j
-are one real FFT per Gauss-node column; on the graded end panels the
-rows cos(j pi x) follow from the three-term recurrence in j.  The value
-is the sum on the grid with every panel halved, its gap to the unhalved
-sum the error estimate.  A coefficient depends only on (p, j).
+are one real FFT per Gauss-node column; on the graded end panels, all
+within one panel of 0 or 1/2, they are Taylor series in j of the phase,
+summed against moments of the samples.  The value is the sum on the grid
+with every panel halved; the error estimate is its gap to the unhalved
+sum plus a bound on the rounding of the sums.  A coefficient depends
+only on (p, j).
 
 Odd a_j need no quadrature of their own: d/dx sin_p(pi_p x) =
 pi_p cos_p(pi_p x) and sin_p(pi_p) = 0, so integrating by parts gives
@@ -79,6 +81,11 @@ class CriterionReport:
 
 
 _CHUNK = 16384  # table evaluations per call, to bound the temporaries
+# Taylor terms of the end-panel phases, which are at most pi/2: the first
+# term left out is below (pi/2)^28 / 28! < 1e-24
+_MOMENTS = 14
+_EVEN_FACT = np.array([math.factorial(2 * k) for k in range(_MOMENTS)], dtype=float)
+_ODD_FACT = _EVEN_FACT * np.arange(1, 2 * _MOMENTS, 2)  # (2k + 1)!
 
 
 def _tier(j: int):
@@ -88,19 +95,20 @@ def _tier(j: int):
     return (1 if last == 127 else last // 2 + 2), last
 
 
-def _seed_row(j: int, x: np.ndarray) -> np.ndarray:
-    """cos(j pi x), with j x reduced mod 2 exactly for |j| < 2^23.
-
-    Rounding j pi x directly costs up to j eps in the phase, which the
-    recurrence would carry into every later row of the tier.
-    """
-    xh = np.floor(x * 2.0**30) / 2.0**30  # j * xh is exact
-    return np.cos(PI * (np.fmod(j * xh, 2.0) + j * (x - xh)))
-
-
 def _samples(scaled, x: np.ndarray) -> np.ndarray:
     """scaled(x) in chunks of _CHUNK points."""
     return np.concatenate([scaled(x[i : i + _CHUNK]) for i in range(0, x.size, _CHUNK)])
+
+
+def _moments(z, f, odd: bool):
+    """sum_i f_i z_i^(2k + odd) for k < _MOMENTS: one matrix-vector product
+    with power rows built by in-place products."""
+    powers = np.empty((_MOMENTS, z.size))
+    powers[0] = z if odd else 1.0
+    square = z * z
+    for k in range(1, _MOMENTS):
+        np.multiply(powers[k - 1], square, out=powers[k])
+    return powers @ f
 
 
 def _coeff_quadrature(p: float, j):
@@ -116,8 +124,20 @@ def _coeff_quadrature(p: float, j):
     pi j (k + r + eta_q) h/k.  With L = 4(T+1)k, L h/k = 2, so its r part
     is the exact integer phase j r mod L: the sums over r for every j are
     one real FFT of length L per node column, and the real part of a
-    twiddle e^(i pi j (k + eta_q) h/k) per column finishes them.  The
-    graded end panels take the three-term recurrence in j.
+    twiddle e^(i pi j (k + eta_q) h/k) per column finishes them.
+
+    The graded end panels lie within h of 0 or 1/2.  With theta = j pi h
+    and z = x/h near 0 or z = (1/2 - x)/h near 1/2, both exact since h is
+    a power of two, the phase theta z is at most pi/2, and for odd j
+
+        cos(j pi x) = sum_k (-theta^2)^k z^(2k) / (2k)!                 near 0
+        cos(j pi x) = s_j sum_k (-theta^2)^k theta z^(2k+1) / (2k+1)!   near 1/2
+
+    with s_j = (-1)^((j-1)/2), so each end is _MOMENTS moments of the
+    samples and one small product for every j of the tier.  The error
+    estimate is the halving gap plus 4 eps sum |w f| over the halved grid,
+    a bound on the rounding of the FFT and moment sums, which the gap alone
+    falls below.
     """
     js = np.asarray(j)
     first, last = _tier(js.max())
@@ -125,26 +145,25 @@ def _coeff_quadrature(p: float, j):
     x, w, nc = graded_grid((0.0, 0.5), h)
     f = w * _samples(fast_trig(float(p)).cos_scaled, x)
     rows = np.arange(first, last + 1, 2)
+    theta = rows * (PI * h)
+    powers = np.vander(-theta * theta, _MOMENTS, increasing=True)
+    left = powers / _EVEN_FACT
+    right = powers * (np.where(rows % 4 == 1, theta, -theta)[:, None] / _ODD_FACT)
     sums = np.empty((rows.size, 2))  # (unhalved, halved) per j
-    graded = np.ones(x.size, dtype=bool)
-    for g, (k, run) in enumerate(uniform_runs(nc)):
-        graded[run] = False
+    for g, ((k, run), lo, hi) in enumerate(zip(uniform_runs(nc), (0, nc), (nc, 3 * nc))):
         panels = f[run].reshape(-1, GAUSS_OFFSETS.size)
         spectrum = np.fft.rfft(panels, n=4 * (last + 1) * k, axis=0)[rows].conj()
         twiddle = np.exp(1j * PI * np.outer(rows * (h / k), k + GAUSS_OFFSETS))
-        sums[:, g] = np.real(twiddle * spectrum).sum(axis=1)
-    weights = np.zeros((x.size, 2))  # one column per grid: one product gives both sums
-    weights[:nc, 0], weights[nc:, 1] = f[:nc], f[nc:]
-    x, weights = x[graded], weights[graded]
-    # row_{j+2} = 2 cos(2 pi x) row_j - row_{j-2}, from two seeded rows
-    two_cos = 2.0 * np.cos(2.0 * PI * x)
-    prev, row = _seed_row(first - 2, x), _seed_row(first, x)
-    for i in range(rows.size):
-        sums[i] += row @ weights
-        prev, row = row, np.subtract(two_cos * row, prev, out=prev)
+        near0, near_half = slice(lo, run.start), slice(run.stop, hi)
+        sums[:, g] = (
+            np.real(twiddle * spectrum).sum(axis=1)
+            + left @ _moments(x[near0] / h, f[near0], False)
+            + right @ _moments((0.5 - x[near_half]) / h, f[near_half], True)
+        )
     values = 4.0 * sums[:, 1]
+    rounding = 4.0 * np.finfo(float).eps * np.abs(f[nc:]).sum()
     pick = (js - first) // 2
-    return values[pick], np.abs(values - 4.0 * sums[:, 0])[pick]
+    return values[pick], (np.abs(values - 4.0 * sums[:, 0]) + rounding)[pick]
 
 
 @lru_cache(maxsize=1024)

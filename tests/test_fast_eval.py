@@ -18,9 +18,9 @@ from numpy.polynomial import chebyshev
 
 import ptrig._fast_eval as fe
 from conftest import sin_p_oracle
-from ptrig import pi_p
+from ptrig import pi_p, sin_p
 from ptrig.config import DEFAULT_CONFIG
-from ptrig.core import PExponent, invert_quarter
+from ptrig.core import PExponent, invert_quarter, reduce_argument
 from ptrig.errors import ConvergenceError
 
 
@@ -180,6 +180,53 @@ def test_large_p_refusal_warns_of_nothing(p):
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="failed validation"):
             fe.FastPTrig(p)
+
+
+@pytest.mark.parametrize("p", (65.787005, 420.999696))
+def test_dual_table_above_one_warns_of_nothing(p):
+    # the dual table of p' near 1 reads an ulp above 1 at probe points,
+    # where 1 - s^p' < 0 met the log before the value was clipped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="failed validation"):
+            fe.FastPTrig(p)
+        assert abs(sin_p(1.0, p) - sin_p_oracle(1.0, p)) <= 1e-12
+
+
+def test_refusals_over_a_sweep_of_exponents():
+    # every other exponent of 128 from 1.0001 to 1e6, up to p = 947 (above
+    # it each refusal costs about 0.5 s); the tables pass their probe up to
+    # p = 23.4 and are refused from 29.1 up, and p = 166.1 and 947.1 warned
+    # of an invalid log before the dual value was clipped
+    ps = np.geomspace(1.0001, 1e6, 128)[1:64:2]
+    accepted = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ps:
+            try:
+                fe.FastPTrig(float(p))
+                accepted.append(True)
+            except ConvergenceError:
+                accepted.append(False)
+    assert accepted == list(ps < 24.0)
+
+
+@pytest.mark.parametrize("p", (1.1, 1.5, 20.0))
+@pytest.mark.parametrize(
+    "t",
+    (
+        np.array([-0.0, 0.25, 0.5]),
+        np.linspace(0.0, 0.5, 1001),
+        np.array([0.1, np.nextafter(0.5, 1.0), 0.4]),
+        np.array([-1e-300, 0.3]),
+        np.array([]),
+    ),
+    ids=("ends", "grid", "above_half", "below_zero", "empty"),
+)
+def test_cos_scaled_skips_only_an_identity_reduction(p, t):
+    trig = fe.fast_trig(p)
+    tq, _, c_sign = reduce_argument(t)
+    assert trig.cos_scaled(t).tobytes() == (c_sign * trig._quarter_cos(tq)).tobytes()
 
 
 def test_non_finite_seed_keeps_classical_start():

@@ -238,15 +238,23 @@ class TestQuadratureAgainstFFT:
         assert worst < 1e-11
 
 
+def _exact_phase(j, x):
+    """j pi x, with j x reduced mod 2 exactly for |j| < 2^23."""
+    xh = np.floor(x * 2.0**30) / 2.0**30  # j * xh is exact
+    return PI * (np.fmod(j * xh, 2.0) + j * (x - xh))
+
+
 class TestBankAgainstDirectSum:
-    """The bank's FFT sums against the plain sum on the same graded grid.
+    """The bank's FFT and moment sums against the plain sum on the same grid.
 
     Same samples, same nodes, same halving rule: only the summation
     differs, so the two agree to rounding.  A panel-offset or twiddle
     error of order 1e-13 would pass the FFT-oracle test above but not
     this one.  The sine coefficients a_j = pi_p b_j/(j pi) are derived
     from the cosine bank, values and estimates alike, and must agree
-    with the plain sine sums to the same bound.
+    with the plain sine sums to the same bound.  The bank's estimates
+    also carry its rounding term (at most 4.5e-16), which the plain
+    halving gaps do not.
     """
 
     @staticmethod
@@ -257,17 +265,21 @@ class TestBankAgainstDirectSum:
         )
         x, w, nc = graded_grid((0.0, 0.5), 0.5 / (last + 1))
         f = w * scaled(x)
-        xh = np.floor(x * 2.0**30) / 2.0**30  # j * xh is exact
         js = np.arange(1 if last == 127 else last // 2 + 2, last + 1, 2)
         values, errs = np.empty(js.size), np.empty(js.size)
         for i, j in enumerate(js):
-            weighted = f * classical(PI * (np.fmod(j * xh, 2.0) + j * (x - xh)))
+            weighted = f * classical(_exact_phase(j, x))
             values[i] = 4.0 * weighted[nc:].sum()
             errs[i] = abs(values[i] - 4.0 * weighted[:nc].sum())
         return js, values, errs
 
-    @pytest.mark.parametrize("kind", (KIND_COSINE, KIND_SINE))
-    @pytest.mark.parametrize("p", (1.1, 2.41))
+    # at p = 20 the plain sine sum's own halving gap reaches 1.1e-14, so a
+    # sine comparison there would measure that quadrature, not the bank's sums
+    @pytest.mark.parametrize(
+        "p,kind",
+        [(p, KIND_COSINE) for p in (1.1, 1.46, 2.41, 3.0, 20.0)]
+        + [(p, KIND_SINE) for p in (1.1, 1.46, 2.41, 3.0)],
+    )
     @pytest.mark.parametrize("last", (127, 1023))
     def test_every_odd_index_of_tier(self, p, kind, last):
         js, values, errs = self._direct(p, kind, last)
@@ -275,8 +287,39 @@ class TestBankAgainstDirectSum:
             bank_values, bank_errs = _coeff_quadrature(p, js)
         else:
             bank_values, bank_errs = _odd_coeffs(PExponent.of(p), kind, js[0], js[-1], None)
-        assert np.max(np.abs(bank_values - values)) < 2e-15
+        assert np.max(np.abs(bank_values - values)) < 4e-16
         assert np.max(np.abs(bank_errs - errs)) < 2e-15
+
+
+class TestBankEstimatesAreHonest:
+    """Each b_j within its error estimate of the correctly rounded sum.
+
+    The reference is math.fsum of the same weighted samples on the same
+    halved grid, each cos(j pi x) from an exactly reduced phase, so it
+    differs from the bank's value only by the bank's summation: the FFT
+    rounding, the moment sums and their truncated Taylor series.
+    """
+
+    def test_taylor_terms_leave_out_nothing_visible(self):
+        k = fourier._MOMENTS
+        assert (PI / 2.0) ** (2 * k) / math.factorial(2 * k) <= 2.0**-70
+
+    @pytest.mark.parametrize("p", (1.1, 1.5, 2.41, 20.0))
+    def test_every_odd_index_through_1023(self, p):
+        values, errs, refs = [], [], []
+        for last in (127, 255, 511, 1023):
+            x, w, nc = graded_grid((0.0, 0.5), 0.5 / (last + 1))
+            f = (w * fast_trig(p).cos_scaled(x))[nc:]
+            js = np.arange(1 if last == 127 else last // 2 + 2, last + 1, 2)
+            for block in np.array_split(js, max(1, js.size // 32)):
+                weighted = f * np.cos(_exact_phase(block[:, None], x[nc:]))
+                refs += [4.0 * math.fsum(row) for row in weighted.tolist()]
+            value, err = _coeff_quadrature(p, js)
+            values.append(value)
+            errs.append(err)
+        deviation = np.abs(np.concatenate(values) - refs)
+        assert np.all(deviation <= np.concatenate(errs))
+        assert deviation[:500].sum() <= basis_criterion(p, 999).quadrature_err
 
 
 def _clear_coefficient_caches():

@@ -22,8 +22,15 @@ its round-0 digest and its failure count, each side's traced counts, and
 for each side its commit and the sha256 of its src/ (as run.py reports
 it).  A summary per workload gives each metric's median on both sides,
 the parent/change ratio of the medians, in how many pairs the change was
-lower, whether every pair's round-0 digests were equal, and whether the
-two sides' traced counts were equal (`counts_equal`).
+lower, whether every pair's round-0 digests were equal, whether the
+two sides' traced counts were equal (`counts_equal`), and how many runs
+of each side reported failed operations (`runs_with_failures`).
+
+A run that exits non-zero, or prints no result line, ends the
+comparison: the report collected so far is written first, with a
+`failed_run` entry (its side, workload, trace flag, exit status, the
+last 40 lines of its stderr, and its `failures` list when it printed
+one), and the script exits with status 1.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "peak_rss_mb", "round_s")
+SIDES = ("parent", "change")
 
 
 def parse_args(argv=None):
@@ -62,6 +70,26 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=git("archive", rev), check=True)
 
 
+class RunFailed(Exception):
+    """A `run.py` that exited non-zero or printed no result line."""
+
+    def __init__(self, record: dict):
+        super().__init__(record["workload"])
+        self.record = record
+
+
+def printed_failures(lines):
+    """The `failures` list of run.py's detail line, if it printed one."""
+    for line in lines:
+        try:
+            detail = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(detail, dict) and "failures" in detail:
+            return detail["failures"]
+    return None
+
+
 def run_py(tree: Path, workload: str, seed: int, seconds: float, trace: int):
     """One `run.py` in tree: its detail line and its result line."""
     proc = subprocess.run(
@@ -70,7 +98,9 @@ def run_py(tree: Path, workload: str, seed: int, seconds: float, trace: int):
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        sys.exit(f"bench_pairs: {workload} in {tree} failed:\n{proc.stderr[-2000:]}")
+        raise RunFailed({"workload": workload, "trace": trace, "exit_status": proc.returncode,
+                         "stderr_tail": proc.stderr.splitlines()[-40:],
+                         "failures": printed_failures(lines)})
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
@@ -96,10 +126,19 @@ def traced_counts(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(pairs: list, traced: dict) -> dict:
-    out = {"digests_equal": all(pair["parent"]["digest"] == pair["change"]["digest"]
+    """Medians and counts over the complete pairs; a pair or traced run
+    cut short by a failed run is left out of the comparisons."""
+    runs = {side: [pair[side] for pair in pairs if side in pair]
+            + ([traced[side]] if side in traced else []) for side in SIDES}
+    pairs = [pair for pair in pairs if all(side in pair for side in SIDES)]
+    out = {"complete_pairs": len(pairs),
+           "digests_equal": all(pair["parent"]["digest"] == pair["change"]["digest"]
                                 for pair in pairs),
-           "counts_equal": traced["parent"]["counts"] == traced["change"]["counts"]}
-    for name in METRICS:
+           "counts_equal": (traced["parent"]["counts"] == traced["change"]["counts"]
+                            if len(traced) == len(SIDES) else None),
+           "runs_with_failures": {side: sum(run["failed"] > 0 for run in runs[side])
+                                  for side in SIDES}}
+    for name in METRICS if pairs else ():
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
         out[name] = {
@@ -118,41 +157,54 @@ def main(argv=None) -> int:
     dirty = bool(git("status", "--porcelain", "--", "src").strip())
     workloads = {}
     environment = None
+    failed_run = None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_tree = Path(tmp)
         export(parent_commit, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
-        for workload, n in args.pairs.items():
-            pairs = []
-            for i in range(n):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"order": "-".join(order)}
-                for side in order:
-                    run = run_once(trees[side], workload, args.seed, args.seconds)
-                    environment = environment or run["environment"]
-                    pair[side] = {k: v for k, v in run.items() if k != "environment"}
-                    print(f"{workload} pair {i} {side}: "
-                          + ", ".join(f"{k} {run[k]:.4g}" for k in METRICS), flush=True)
-                pairs.append(pair)
-            traced = {side: traced_counts(trees[side], workload, args.seed, args.seconds)
-                      for side in ("parent", "change")}
-            workloads[workload] = {"pairs": pairs, "traced": traced,
-                                   "summary": summary(pairs, traced)}
-            print(f"{workload} traced counts equal: "
-                  f"{workloads[workload]['summary']['counts_equal']}", flush=True)
+        try:
+            for workload, n in args.pairs.items():
+                pairs, traced = [], {}
+                workloads[workload] = {"pairs": pairs, "traced": traced}
+                for i in range(n):
+                    order = SIDES if i % 2 == 0 else SIDES[::-1]
+                    pair = {"order": "-".join(order)}
+                    pairs.append(pair)
+                    for side in order:
+                        run = run_once(trees[side], workload, args.seed, args.seconds)
+                        environment = environment or run["environment"]
+                        pair[side] = {k: v for k, v in run.items() if k != "environment"}
+                        print(f"{workload} pair {i} {side}: "
+                              + ", ".join(f"{k} {run[k]:.4g}" for k in METRICS), flush=True)
+                for side in SIDES:
+                    traced[side] = traced_counts(trees[side], workload, args.seed, args.seconds)
+                print(f"{workload} traced counts equal: "
+                      f"{summary(pairs, traced)['counts_equal']}", flush=True)
+        except RunFailed as exc:
+            failed_run = {"side": side, **exc.record}
+            print(f"bench_pairs: {workload} failed on the {side} side "
+                  f"(exit status {exc.record['exit_status']})", file=sys.stderr, flush=True)
+    for record in workloads.values():
+        record["summary"] = summary(record["pairs"], record["traced"])
+
+    def sha(side):
+        """src sha256 of side, as its first recorded run reported it."""
+        return next((pair[side]["src_sha256"] for record in workloads.values()
+                     for pair in record["pairs"] if side in pair), None)
+
     report = {
-        "parent": {"commit": parent_commit,
-                   "src_sha256": next(iter(workloads.values()))["pairs"][0]["parent"]["src_sha256"]},
-        "change": {"commit": change_commit, "src_dirty": dirty,
-                   "src_sha256": next(iter(workloads.values()))["pairs"][0]["change"]["src_sha256"]},
+        "parent": {"commit": parent_commit, "src_sha256": sha("parent")},
+        "change": {"commit": change_commit, "src_dirty": dirty, "src_sha256": sha("change")},
         "seed": args.seed,
         "seconds": args.seconds,
-        "environment": {k: v for k, v in environment.items()
+        "environment": {k: v for k, v in (environment or {}).items()
                         if k not in ("commit", "src_sha256")},
         "workloads": workloads,
     }
+    if failed_run:
+        report["failed_run"] = failed_run
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    return 1 if failed_run else 0
 
 
 if __name__ == "__main__":
