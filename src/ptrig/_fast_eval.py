@@ -2,56 +2,45 @@
 
 The coefficient banks need about 10^5 sin_p/cos_p values per exponent
 and kind up to j = 1023, which rules out a Newton inversion per point.  This module
-builds, once per exponent, tables of
+builds, once per exponent, the table
 
-    S_p(t) = sin_p(pi_p t),   t in [0, 1/4],
+    S_p(t) = sin_p(pi_p t),   t in [0, t_d(p)],
 
-for p and for its conjugate p' (a table is cached per exponent, so
-fast_trig(p) and fast_trig(p') share theirs).  The quarter period splits
-at t = 1/4: the upper half is mapped to the lower half of the conjugate
-exponent via
+for p and for its conjugate p' (a table is kept per exponent while an
+evaluator holds it, so fast_trig(p) and fast_trig(p') share theirs).
+t_d(p) is the p-diagonal, where sin_p^p = cos_p^p = 1/2, and
+t_d(p) + t_d(p') = 1/2.  The quarter period splits there: above it, the
+upper part is mapped to the lower part of the conjugate exponent via
 
-    sin_p(pi_p t)  = cos_p'(pi_p' (1/2 - t))^(p'-1)
-    cos_p(pi_p t)  = sin_p'(pi_p' (1/2 - t))^(p'-1)
+    sin_p(pi_p t)  = (1 - s^p')^(1/p),   cos_p(pi_p t) = s^(p'-1),
+    s = sin_p'(pi_p' (1/2 - t)),
 
-so every evaluation lands in a region where the table is accurate to
-near machine precision.  Each table is the power series of sin_p in
-w = u^p, found by series reversion: its coefficients follow from
-y' = (1 - y^p)^(1/p) by Miller's recurrence for powers of a series.  It
-serves t up to t_floor, the largest 2^-n/4 where it has converged to
-double precision, which is all of [0, 1/4] from p = 1.2 up.  Only above
-t_floor, where the series of p below 1.2 converges too slowly, do dyadic
-intervals remain, fitted by Chebyshev polynomials to the safeguarded
-Newton inversion started from the classical sine, so no table value
-depends on a table.  Construction is probed at 33 points: Newton started
-from the table itself runs until its residual test accepts, which
-certifies the reference whatever the start, and a table that disagrees
-with the reference is refused (ConvergenceError), so the series is
-checked by a route independent of it.
+and below it cos_p = (1 - y^p)^(1/p) with y = S_p(t).  Either side forms
+1 - x only with x <= 1/2, so no subtraction cancels at any p.  Each table
+is the power series of sin_p in w = u^p, found by series reversion: its
+coefficients follow from y' = (1 - y^p)^(1/p) by Miller's recurrence for
+powers of a series, and it must reach double precision at t_d(p), or the
+table is refused (ConvergenceError).  Construction is probed at 33
+points: the safeguarded Newton inversion started from the table itself
+runs until its residual test accepts, which certifies the reference
+whatever the start, and a table that disagrees with the reference is
+refused too, so the series is checked by a route independent of it.
 The public functions start the same inversion from these tables.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .config import DEFAULT_CONFIG
 from .core import PExponent, _cos_from_y, _log_one_minus_pow, invert_quarter, reduce_argument
 from .errors import ConvergenceError, DomainError
 
-_DEG = 30  # Chebyshev degree per dyadic interval
-_T_TOP = 0.25
-# Chebyshev points of one interval, and chebfit's column-scaled design
-# matrix for them: every interval solves one least-squares problem with it
-_REF = np.cos(np.pi * (np.arange(_DEG + 1) + 0.5) / (_DEG + 1))
-_VAN = chebyshev.chebvander(_REF, _DEG)
-_SCALE = np.sqrt(np.square(_VAN.T).sum(1))
-_FIT = _VAN / _SCALE
-_RCOND = _REF.size * np.finfo(float).eps
 _TERMS = 64  # most power series terms per exponent
 _TAIL = 8  # trailing terms that must be negligible where the series serves
 
@@ -64,10 +53,10 @@ def _series(p: float, w_top: float) -> np.ndarray:
     e_m = d_m / (mp + 1) for d = (1 - w k)^(1/p).  Both powers come from
     J. C. P. Miller's recurrence for a power of a power series (Knuth,
     TAOCP Vol. 2, 4.7), each d_m and k_m from the terms before it.  The
-    recurrence stops once the series passes `_converged` at w_top, and
-    after _TERMS terms at most.  `_converged` is only tried once the last
-    _TAIL terms each pass its tail rule with slack, a weaker test, so the
-    stopping n is the same.
+    recurrence stops once the series passes `_converged` at w_top; if it
+    has not after _TERMS terms, ConvergenceError.  `_converged` is only
+    tried once the last _TAIL terms each pass its tail rule with slack, a
+    weaker test, so the stopping n is the same.
     """
     e, k, d = (np.zeros(_TERMS) for _ in range(3))
     e[0] = k[0] = d[0] = 1.0
@@ -84,7 +73,10 @@ def _series(p: float, w_top: float) -> np.ndarray:
         passing = passing + 1 if abs(e[n]) * w_pow[n] <= 2.0**-59 else 0
         if passing >= _TAIL and _converged(e[: n + 1], w_top):
             return e[: n + 1]
-    return e
+    raise ConvergenceError(
+        f"fast evaluator tables refused: the series of p={p!r} does not reach "
+        f"w={w_top!r} in {_TERMS} terms"
+    )
 
 
 def _converged(e, w) -> bool:
@@ -95,78 +87,58 @@ def _converged(e, w) -> bool:
     return bool(terms[-_TAIL:].max() <= 2.0**-60 and terms.sum() <= 4.0)
 
 
+def _diagonal(pexp: PExponent) -> float:
+    """t_d(p), where sin_p(pi_p t_d)^p = 1/2, from the smaller exponent a of
+    the pair: pi_a T = F_a(2^(-1/a)) = 2^(-1/a) 2F1(b, b; 1 + b; 1/2) with
+    b = 1/a, a sum of positive terms with ratio below 1/2.  t_d = T for
+    p <= p' and 1/2 - T otherwise, so t_d(p) + t_d(p') = 1/2."""
+    own = pexp.p <= pexp.p_conj
+    small = pexp if own else pexp.conjugate
+    b = 1.0 / small.p
+    term = total = 1.0
+    n = 0
+    while term > 2.0**-60 * total:
+        term *= (b + n) ** 2 / (2.0 * (b + 1.0 + n) * (n + 1.0))
+        total += term
+        n += 1
+    T = 2.0**-b * total / small.pi_p
+    return T if own else 0.5 - T
+
+
 class _QuarterTable:
-    """sin_p(pi_p t) on [0, 1/4]: its power series up to t_floor, and
-    piecewise Chebyshev above it."""
+    """sin_p(pi_p t) on [0, t_d(p)] by its power series."""
 
     def __init__(self, pexp: PExponent):
-        p = pexp.p
-        self.p = p
+        self.p = pexp.p
         self.pi_p = pexp.pi_p
-        self.series = _series(p, (self.pi_p * _T_TOP) ** p)
-        # t_floor is the largest 2^-n / 4 the series serves; the n dyadic
-        # intervals above it are tabulated
-        self.n_intervals = 0
-        while not _converged(self.series, (self.pi_p * _T_TOP * 2.0 ** -self.n_intervals) ** p):
-            self.n_intervals += 1
-        self.t_floor = _T_TOP * 2.0 ** (-self.n_intervals)
-        k = np.arange(self.n_intervals)
-        his = _T_TOP * 2.0 ** (-k)
-        los = his / 2.0
-        nodes = los[:, None] + (his - los)[:, None] * (_REF[None, :] + 1.0) / 2.0
-        ys = invert_quarter(pexp.pi_p * nodes.ravel(), pexp, DEFAULT_CONFIG)
-        ys = ys.reshape(nodes.shape)
-        # chebfit per interval, its design matrix built once; a batched
-        # solve of all intervals is not bitwise the same
-        self.coefs = np.empty((self.n_intervals, _DEG + 1))
-        for i in range(self.n_intervals):
-            self.coefs[i] = np.linalg.lstsq(_FIT, ys[i], _RCOND)[0] / _SCALE
-        # row deg holds every interval's coefficient of T_deg
-        self._rows = np.ascontiguousarray(self.coefs.T)
+        self.t_d = _diagonal(pexp)
+        self.series = _series(self.p, (self.pi_p * self.t_d) ** self.p)
 
     def eval(self, t):
-        """sin_p(pi_p t) for t in [0, 1/4]."""
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        # without intervals the series serves all of [0, 1/4]
-        series = (t <= self.t_floor) | (self.n_intervals == 0)
-        if series.any():
-            # Horner in w = u^p
-            u = self.pi_p * t[series]
-            w = u**self.p
-            acc = np.full_like(w, self.series[-1])
-            for c in self.series[-2::-1]:
-                acc *= w
-                acc += c
-            out[series] = u * acc
-        rest = ~series
-        if rest.any():
-            tr = np.minimum(t[rest], _T_TOP)
-            with np.errstate(divide="ignore"):
-                k = np.floor(-np.log2(tr / _T_TOP)).astype(int)
-            k = np.clip(k, 0, self.n_intervals - 1)
-            his = _T_TOP * 2.0 ** (-k.astype(float))
-            xi = np.clip(4.0 * tr / his - 3.0, -1.0, 1.0)
-            # Clenshaw, each point's coefficient of T_deg gathered from row
-            # deg; b_deg = c + 2 xi b1 - b2 is formed in place on the gather
-            rows = self._rows
-            two_xi = 2.0 * xi
-            b1 = np.zeros_like(xi)
-            b2 = np.zeros_like(xi)
-            step = np.empty_like(xi)
-            for deg in range(_DEG, 0, -1):
-                c = rows[deg][k]
-                c += np.multiply(two_xi, b1, out=step)
-                c -= b2
-                b1, b2 = c, b1
-            out[rest] = rows[0][k] + xi * b1 - b2
-        return out
+        """sin_p(pi_p t) for t in [0, t_d(p)], by Horner in w = u^p."""
+        u = self.pi_p * np.asarray(t, dtype=float)
+        w = u**self.p
+        acc = np.full_like(w, self.series[-1])
+        for c in self.series[-2::-1]:
+            acc *= w
+            acc += c
+        return u * acc
 
 
-@lru_cache(maxsize=128)
+# the tables by exponent, held weakly: every live evaluator that reads the
+# table of an exponent reads one object, so fast_trig(p) and fast_trig(p')
+# share theirs whichever was evicted or built first
+_tables = weakref.WeakValueDictionary()
+_tables_lock = threading.Lock()
+
+
 def _quarter_table(p: float) -> _QuarterTable:
     """The table of one exponent, shared by fast_trig(p) and fast_trig(p')."""
-    return _QuarterTable(PExponent(p))
+    with _tables_lock:
+        table = _tables.get(p)
+        if table is None:
+            table = _tables[p] = _QuarterTable(PExponent(p))
+    return table
 
 
 class FastPTrig:
@@ -176,39 +148,35 @@ class FastPTrig:
         self.pexp = PExponent.of(p)
         try:
             self.conj = self.pexp.conjugate
-        except DomainError as exc:  # p above 2^53: no table for the upper half
+        except DomainError as exc:  # p above 2^53: no table for the upper part
             raise ConvergenceError(f"fast evaluator tables refused: {exc}") from None
         self._own = _quarter_table(self.pexp.p)
         self._dual = _quarter_table(self.conj.p)
         self._validate()
 
-    def _quarter_sin(self, t):
-        """sin_p(pi_p t) on [0, 1/2] via the conjugate split at 1/4."""
+    def _split(self, t):
+        """(t, low): t as an array and the mask of t <= t_d(p), the own table's part."""
         t = np.asarray(t, dtype=float)
+        return t, t <= self._own.t_d
+
+    def _quarter_sin(self, t):
+        """sin_p(pi_p t) on [0, 1/2] via the conjugate split at t_d(p)."""
+        t, low = self._split(t)
         out = np.empty_like(t)
-        low = t <= _T_TOP
-        if low.any():
-            out[low] = self._own.eval(t[low])
-        high = ~low
-        if high.any():
-            # a Chebyshev interval of p' near 1 can read an ulp above 1,
-            # where 1 - s^p' < 0 would meet the log
-            s = np.minimum(self._dual.eval(0.5 - t[high]), 1.0)
-            # (1 - s^p')^(1/p), exactly 1 at the quarter point where s = 0
-            out[high] = np.exp(_log_one_minus_pow(s, 1.0 - s, self.conj.p) / self.pexp.p)
+        out[low] = self._own.eval(t[low])
+        s = self._dual.eval(0.5 - t[~low])
+        # (1 - s^p')^(1/p), exactly 1 at the quarter point where s = 0
+        out[~low] = np.exp(_log_one_minus_pow(s, 1.0 - s, self.conj.p) / self.pexp.p)
         return out
 
     def _quarter_cos(self, t):
-        """cos_p(pi_p t) on [0, 1/2] via the conjugate split at 1/4."""
-        t = np.asarray(t, dtype=float)
+        """cos_p(pi_p t) on [0, 1/2] via the conjugate split at t_d(p)."""
+        t, low = self._split(t)
         out = np.empty_like(t)
-        low = t <= _T_TOP
-        if low.any():
-            out[low] = _cos_from_y(self._own.eval(t[low]), self.pexp.p)
-        high = ~low
-        if high.any():
-            s = self._dual.eval(0.5 - t[high])
-            out[high] = s ** (self.conj.p - 1.0)
+        out[low] = _cos_from_y(self._own.eval(t[low]), self.pexp.p)
+        # p' - 1 as 1/(p - 1): for large p, p' - 1 would keep only about
+        # eps p of relative accuracy, and s^(p'-1) with it
+        out[~low] = self._dual.eval(0.5 - t[~low]) ** (1.0 / (self.pexp.p - 1.0))
         return out
 
     def sin_scaled(self, t):

@@ -11,9 +11,9 @@ by tanh-sinh quadrature (the integrand has an algebraic endpoint
 singularity at t = 1), and the inversion uses a safeguarded Newton
 iteration with bisection fallback inside the bracket [0, 1]; a Newton
 step below one ulp probes 2 eps inward instead of bisecting.  The public
-functions start it from the cached table of p (_fast_eval), whose
-Chebyshev intervals, where it has any, are built from the classical-sine
-start.
+functions start it from the cached table of p (_fast_eval), a power
+series on each side of the p-diagonal, wherever that table is built: at
+every p up to 2^53.
 
 All quadrant and sign logic follows the extension rules of the p-sine;
 there are no trigonometric shortcuts for p != 2.

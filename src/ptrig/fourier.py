@@ -111,6 +111,19 @@ def _moments(z, f, odd: bool):
     return powers @ f
 
 
+@lru_cache(maxsize=None)
+def _tier_grid(last: int):
+    """graded_grid((0, 1/2), h) of the tier ending at last, h = 1/(2(last + 1)).
+
+    It does not depend on p, so every bank of the tier reads this one,
+    made read-only.
+    """
+    x, w, nc = graded_grid((0.0, 0.5), 0.5 / (last + 1))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w, nc
+
+
 def _coeff_quadrature(p: float, j):
     """(value, err_est) of odd cosine coefficients b_j by the tier quadrature.
 
@@ -142,7 +155,7 @@ def _coeff_quadrature(p: float, j):
     js = np.asarray(j)
     first, last = _tier(js.max())
     h = 0.5 / (last + 1)
-    x, w, nc = graded_grid((0.0, 0.5), h)
+    x, w, nc = _tier_grid(last)
     f = w * _samples(fast_trig(float(p)).cos_scaled, x)
     rows = np.arange(first, last + 1, 2)
     theta = rows * (PI * h)
@@ -268,7 +281,7 @@ def coeff_relation_check(p, j: int, config: EvalConfig | None = None) -> float:
     pexp = PExponent.of(p)
     j = _check_index(j, 1, "coeff_relation_check", odd=True)
     b, _ = cosine_coeff(pexp, j, config)
-    x, w, nc = graded_grid((0.0, 0.5), 0.5 / (_tier(j)[1] + 1))
+    x, w, nc = _tier_grid(_tier(j)[1])
     weighted = 4.0 * w * _samples(fast_trig(pexp.p).sin_scaled, x) * np.sin(j * PI * x)
     a, _ = halved_sum(weighted, nc, (config or DEFAULT_CONFIG).rel_tol, f"a_{j} at p={pexp.p!r}")
     return abs(b - (j * PI / pexp.pi_p) * a)

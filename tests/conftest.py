@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the code paths they check: direct
 Euler-Maclaurin summation for zeta-type sums, the regularized incomplete
-beta function for the quarter-period integral and its inverse, and a
+beta function for the quarter-period integral and its inverse, the
+hypergeometric form of that integral for residuals at large p, and a
 trapezoid/FFT route for bulk Fourier coefficients.
 """
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc, betaincinv, hyp2f1
 
 
 def zeta_oracle(q: float, terms: int = 1_000_000) -> float:
@@ -63,6 +64,33 @@ def sin_p_oracle(u, p: float):
     u = np.asarray(u, dtype=float)
     frac = np.clip(u / (pi_p(p) / 2.0), 0.0, 1.0)
     return betaincinv(1.0 / p, 1.0 - 1.0 / p, frac) ** (1.0 / p)
+
+
+def diagonal_residual(t, y, c, p: float):
+    """(own, residual, u): the F_q residual of y = sin_p(pi_p t), c = cos_p(pi_p t).
+
+    F_q(z) = z 2F1(1/q, 1/q; 1 + 1/q; z^q) is the quarter-period integral
+    (scipy's hyp2f1), taken on whichever side of the p-diagonal has
+    z^q <= 1/2, where its series converges and no power that matters
+    underflows (`sin_p_oracle` inverts y^p, which does at large p: it
+    reads 8.4e-4 for 5.0008e-5 at p = 100, t = 2.5e-5):
+
+    - own, where y^p <= 1/2: |F_p(y) - u| with u = pi_p t;
+    - elsewhere: |F_p'(s) - u| with s = c^(p-1) = sin_p'(u) and
+      u = pi_p' (1/2 - t), since cos_p(pi_p t) = s^(p'-1).
+
+    As F_q' >= 1, the residual bounds the error of z, up to the rounding
+    of F_q and of u.
+    """
+    from ptrig import pi_p
+
+    t, y, c = (np.asarray(a, dtype=float) for a in (t, y, c))
+    q = p / (p - 1.0)
+    own = y**p <= 0.5
+    z = np.where(own, y, c ** (p - 1.0))
+    e = np.where(own, p, q)
+    u = np.where(own, pi_p(p) * t, pi_p(q) * (0.5 - t))
+    return own, np.abs(z * hyp2f1(1.0 / e, 1.0 / e, 1.0 + 1.0 / e, z**e) - u), u
 
 
 def cosine_coeffs_fft(p: float, samples: int = 2**20) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
@@ -160,6 +161,15 @@ class TestCriterion:
         code, out, _ = run_cli(capsys, "criterion", "--p", "1.46", "--J", "199")
         (rec,) = parse_ndjson(out)
         assert rec["results"]["holds"] is True
+
+    def test_near_one_reports_without_warning(self, capsys):
+        # a NaN cosine at p = 1.0001 once made this exit 3 with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "criterion", "--p", "1.0001")
+        assert (code, err) == (EXIT_OK, "")
+        (rec,) = parse_ndjson(out)
+        assert rec["results"]["holds"] is False
 
     def test_margin_subtracts_every_recorded_term(self, capsys):
         code, out, _ = run_cli(capsys, "criterion", "--p", "1.46", "--J", "199")

@@ -26,7 +26,7 @@ from ptrig import (
     u_p,
     v_p,
 )
-from ptrig._fast_eval import FastPTrig, _quarter_table, fast_trig
+from ptrig._fast_eval import FastPTrig, _tables, fast_trig
 from ptrig.core import _cos_from_y, invert_quarter, reduce_argument
 
 from conftest import incomplete_F_oracle, sin_p_oracle
@@ -645,10 +645,10 @@ class TestFastEvaluatorAgreesWithNewton:
         assert np.max(np.abs(trig.cos_scaled(x) - cos_p(pe.pi_p * x, pe))) < 5e-12
 
     def test_series_only_table_serves_quarter_point(self):
-        # p >= 19 has no Chebyshev intervals: the series covers all of [0, 1/4]
+        # the own series of p = 20 serves t = 1/4, below its diagonal
         pe = PExponent(20.0)
         trig = fast_trig(pe.p)
-        assert trig._own.n_intervals == 0
+        assert trig._own.t_d > 0.25
         y = invert_quarter(np.array([pe.pi_p / 4.0]), pe, seed=None)
         assert abs(trig.sin_scaled(0.25) - y[0]) <= 1e-13
         assert abs(trig.cos_scaled(0.25) - _cos_from_y(y, pe.p)[0]) <= 1e-13
@@ -706,7 +706,7 @@ class TestTableSeededInversion:
         pe = PExponent(p)
         x = np.random.default_rng(32).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 200)
         fast_trig.cache_clear()
-        _quarter_table.cache_clear()
+        _tables.clear()
         core._table_refused.cache_clear()
         cold = _both(x, pe)
         fast_trig(p)
@@ -729,7 +729,7 @@ class TestTableSeededInversion:
         sin_p(u, pe)
         assert sum(rows) <= 2 * u.size
 
-    @pytest.mark.parametrize("p", (30.0, 50.0))
+    @pytest.mark.parametrize("p", (2.0**54, 1e17))  # above 2^53, no conjugate
     def test_refused_table_falls_back_once(self, p, monkeypatch):
         pe = PExponent(p)
         builds = []

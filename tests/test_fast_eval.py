@@ -1,11 +1,10 @@
-"""The tables of _fast_eval: bitwise pins, the power series and the construction probe.
+"""The tables of _fast_eval: the power series, the split at the p-diagonal,
+the construction probe, and accuracy over every exponent up to 2^53.
 
-The references below are the straightforward forms of the table fit and
-the table evaluation: one `chebyshev.chebfit` per interval, a plain
-Horner sum over the series coefficients, and a Clenshaw recurrence over
-per-point coefficient rows.  The library's forms must agree with them bit
-for bit, because the probe leaves the tables little margin (a 3e-16 move
-of one table is enough to refuse fast_trig(20)).
+Up to p = 21.5 the tables are checked against the inverse beta
+(`sin_p_oracle`); above it, where y^p underflows there, against the
+residual of the hypergeometric quarter-period integral
+(`diagonal_residual`).
 """
 
 import copy
@@ -14,100 +13,28 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev
 
 import ptrig._fast_eval as fe
-from conftest import sin_p_oracle
-from ptrig import pi_p, sin_p
-from ptrig.config import DEFAULT_CONFIG
+from conftest import diagonal_residual, incomplete_F_oracle, sin_p_oracle
+from ptrig import basis_criterion, pi_p, sin_p
 from ptrig.core import PExponent, invert_quarter, reduce_argument
 from ptrig.errors import ConvergenceError
 
 
-def _chebfit_coefs(p):
-    """Per-interval chebfit of the Newton values at the table's nodes."""
-    pexp = PExponent(p)
-    n = fe._quarter_table(p).n_intervals
-    his = 0.25 * 2.0 ** (-np.arange(n))
-    los = his / 2.0
-    ref = np.cos(np.pi * (np.arange(fe._DEG + 1) + 0.5) / (fe._DEG + 1))
-    nodes = los[:, None] + (his - los)[:, None] * (ref[None, :] + 1.0) / 2.0
-    ys = invert_quarter(pexp.pi_p * nodes.ravel(), pexp, DEFAULT_CONFIG).reshape(nodes.shape)
-    return np.array([chebyshev.chebfit(ref, ys[i], fe._DEG) for i in range(n)])
-
-
-def _row_clenshaw(table, t):
-    """The table's value at t: Horner over its series up to t_floor, above
-    it Clenshaw over per-point coefficient rows."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    series = (t <= table.t_floor) | (table.n_intervals == 0)
-    u = table.pi_p * t[series]
-    w = u**table.p
-    acc = np.full_like(w, table.series[-1])
-    for c in table.series[-2::-1]:
-        acc = acc * w + c
-    out[series] = u * acc
-    rest = ~series
-    tr = np.minimum(t[rest], 0.25)
-    with np.errstate(divide="ignore"):
-        k = np.floor(-np.log2(tr / 0.25)).astype(int)
-    k = np.clip(k, 0, table.n_intervals - 1)
-    his = 0.25 * 2.0 ** (-k.astype(float))
-    xi = np.clip(4.0 * tr / his - 3.0, -1.0, 1.0)
-    c = table.coefs[k]
-    b1 = np.zeros_like(xi)
-    b2 = np.zeros_like(xi)
-    for deg in range(fe._DEG, 0, -1):
-        b1, b2 = c[:, deg] + 2.0 * xi * b1 - b2, b1
-    out[rest] = c[:, 0] + xi * b1 - b2
-    return out
-
-
-@pytest.mark.parametrize("p", (1.02, 1.05, 1.1, 20.0 / 19.0))
-def test_fit_equals_chebfit(p):
-    # only exponents below about 1.2 keep intervals above the series
-    coefs = fe._quarter_table(p).coefs
-    assert coefs.shape[0] > 0
-    assert coefs.tobytes() == _chebfit_coefs(p).tobytes()
-
-
-@pytest.mark.parametrize("p", (1.1, 1.46, 3.0))
-@pytest.mark.parametrize("n", (33, 2000, 16384))
-def test_eval_equals_row_clenshaw(p, n):
-    table = fe._quarter_table(p)
-    edges = 0.25 * 2.0 ** -np.arange(table.n_intervals + 1)
-    special = np.concatenate([
-        [0.0, 0.25, table.t_floor, np.nextafter(table.t_floor, 0.0)],
-        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
-        np.linspace(0.0, table.t_floor, 5),
-    ])
-    # at 33 points (the probe's size) only the first special points fit
-    rng = np.random.default_rng(n)
-    t = np.concatenate([special, 0.25 * rng.random(max(n - special.size, 0))])[:n]
-    assert table.eval(t).tobytes() == _row_clenshaw(table, t).tobytes()
-
-
-def _moved(table, part, change):
-    """A copy of table with one coefficient changed: coefficient 0 of its
-    first interval, or the series coefficient e_1."""
+def _moved(table, change):
+    """A copy of table with its series coefficient e_1 changed."""
     bad = copy.copy(table)
-    if part == "interval":
-        bad.coefs = table.coefs.copy()
-        bad.coefs[0, 0] = change(bad.coefs[0, 0])
-        bad._rows = np.ascontiguousarray(bad.coefs.T)
-    else:
-        bad.series = table.series.copy()
-        bad.series[1] = change(bad.series[1])
+    bad.series = table.series.copy()
+    bad.series[1] = change(bad.series[1])
     return bad
 
 
 @pytest.mark.parametrize(
     "cases",
-    # (FastPTrig's exponent, the table changed, its part): FastPTrig(1.5)
-    # reads the series of 1.5 and 3.0, FastPTrig(1.1) and (11) interval 0 of 1.1
-    (((1.5, 1.5, "series"), (1.1, 1.1, "interval")),
-     ((1.5, 3.0, "series"), (11.0, 1.1, "interval"))),
+    # (FastPTrig's exponent, the table changed): FastPTrig(1.5) reads the
+    # series of 1.5 and 3.0, FastPTrig(1.1) those of 1.1 and its conjugate
+    (((1.5, 1.5), (1.1, 1.1)),
+     ((1.5, 3.0), (1.1, PExponent(1.1).p_conj))),
     ids=("own", "dual"),
 )
 @pytest.mark.parametrize(
@@ -117,8 +44,8 @@ def test_probe_refuses_a_wrong_table(cases, change, monkeypatch):
     # the probe's Newton reference starts from the table, yet must not
     # inherit the table's error
     original = fe._quarter_table
-    for p, q, part in cases:
-        bad = _moved(original(q), part, change)
+    for p, q in cases:
+        bad = _moved(original(q), change)
         monkeypatch.setattr(fe, "_quarter_table", lambda r: bad if r == q else original(r))
         with pytest.raises(ConvergenceError, match="failed validation"):
             fe.FastPTrig(p)
@@ -140,7 +67,6 @@ def test_series_starts_with_the_closed_form_terms(p):
 
 def test_series_at_p2_is_the_taylor_series_of_sin():
     table = fe._quarter_table(2.0)
-    assert table.n_intervals == 0
     m = np.arange(table.series.size)
     taylor = np.array([(-1.0) ** k / math.factorial(2 * k + 1) for k in m])
     u = np.pi / 4.0  # t = 1/4
@@ -173,42 +99,85 @@ def test_tables_no_farther_from_betaincinv(p):
     assert err <= SUP_ERROR_BEFORE[p]
 
 
-@pytest.mark.parametrize("p", (100.0, 1000.0))
-def test_large_p_refusal_warns_of_nothing(p):
-    # the dual table reads s = 1 there, and 1 - s^p' = 0 meets the log
+def test_every_exponent_of_a_sweep_is_accepted():
+    # 128 exponents from 1.0001 to 1e6; with the quarter period split at
+    # t = 1/4, only p < 24 were accepted, p = 21.03 was not, and p = 166.1
+    # and 947.1 warned of an invalid log
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="failed validation"):
-            fe.FastPTrig(p)
+        for p in np.geomspace(1.0001, 1e6, 128):
+            fe.FastPTrig(float(p))
+
+
+@pytest.mark.parametrize("p", (1.0 + 2.0**-52, 1.0 + 1e-8, 2.0**52, 2.0**53))
+def test_extreme_exponents_are_accepted(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trig = fe.FastPTrig(p)
+    assert trig._own.t_d + trig._dual.t_d == pytest.approx(0.5, abs=2.0 * np.spacing(0.5))
 
 
 @pytest.mark.parametrize("p", (65.787005, 420.999696))
 def test_dual_table_above_one_warns_of_nothing(p):
-    # the dual table of p' near 1 reads an ulp above 1 at probe points,
-    # where 1 - s^p' < 0 met the log before the value was clipped
+    # a Chebyshev interval of the dual table of p' near 1 read an ulp above 1
+    # at probe points, where 1 - s^p' < 0 met the log; the dual series now
+    # serves only up to its diagonal, where s^p' = 1/2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="failed validation"):
-            fe.FastPTrig(p)
+        trig = fe.FastPTrig(p)
+        assert trig._dual.eval(trig._dual.t_d) ** trig.conj.p == pytest.approx(0.5, rel=1e-13)
         assert abs(sin_p(1.0, p) - sin_p_oracle(1.0, p)) <= 1e-12
 
 
-def test_refusals_over_a_sweep_of_exponents():
-    # every other exponent of 128 from 1.0001 to 1e6, up to p = 947 (above
-    # it each refusal costs about 0.5 s); the tables pass their probe up to
-    # p = 23.4 and are refused from 29.1 up, and p = 166.1 and 947.1 warned
-    # of an invalid log before the dual value was clipped
-    ps = np.geomspace(1.0001, 1e6, 128)[1:64:2]
-    accepted = []
+def test_a_series_that_does_not_reach_the_diagonal_is_refused(monkeypatch):
+    monkeypatch.setattr(fe, "_TERMS", 12)  # p = 1.1 needs 24
+    with pytest.raises(ConvergenceError, match="does not reach"):
+        fe._QuarterTable(PExponent(1.1))
+
+
+LARGE_P = (22.0, 30.0, 50.0, 65.787005, 100.0, 420.999696, 1000.0, 1e6)
+
+
+@pytest.mark.parametrize("p", LARGE_P)
+def test_large_p_meets_the_residual_oracle(p):
+    # on the own side the residual bounds the sine, on the dual side the
+    # cosine through s = c^(p-1), which multiplies c's relative error by
+    # p - 1; y^p + c^p = 1 then carries each to the other function, whose
+    # power there is at least 1/2
+    eps = np.finfo(float).eps
+    t = np.concatenate([np.linspace(0.0, 0.5, 4001), 0.5 - np.logspace(-17.0, -1.0, 400)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p in ps:
-            try:
-                fe.FastPTrig(float(p))
-                accepted.append(True)
-            except ConvergenceError:
-                accepted.append(False)
-    assert accepted == list(ps < 24.0)
+        trig = fe.FastPTrig(p)
+        y, c = trig.sin_scaled(t), trig.cos_scaled(t)
+        own, residual, u = diagonal_residual(t, y, c, p)
+        assert own.any() and not own.all()
+        assert np.all(residual <= 8.0 * eps * u * np.where(own, 1.0, p - 1.0))
+        assert np.all(np.abs(y**p + c**p - 1.0) <= p * eps)
+
+
+def test_cosines_near_p_one_are_finite():
+    # at p = 1.0001 a Chebyshev interval of the own table read an ulp above
+    # 1 near t = 0.0019, and the cosine took the log of a negative number
+    t = np.random.default_rng(20151104).random(200_000) * 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(fe.fast_trig(1.0001).cos_scaled(t)))
+        report = basis_criterion(1.0001, 999)
+    assert not report.holds  # p = 1.0001 lies below p0
+
+
+@pytest.mark.parametrize("p", (1.0001, 1.01, 1.1, 1.46, 2.0, 3.0, 10.0, 21.5))
+def test_diagonals_of_conjugates_sum_to_one_half(p):
+    # the pair is one set of tables whichever exponent asks first
+    pe = PExponent(p)
+    own, dual = fe.FastPTrig(p), fe.FastPTrig(pe.p_conj)
+    assert own._dual is dual._own
+    assert own._own is fe._quarter_table(p)
+    assert abs(own._own.t_d + dual._own.t_d - 0.5) <= 2.0 * np.spacing(0.5)
+    # sin_p^p = 1/2 there: pi_p t_d = F_p(2^(-1/p)), by the incomplete beta
+    assert own._own.t_d == pytest.approx(incomplete_F_oracle(0.5 ** (1.0 / p), p) / pe.pi_p,
+                                         rel=1e-13)
 
 
 @pytest.mark.parametrize("p", (1.1, 1.5, 20.0))
@@ -239,8 +208,8 @@ def test_non_finite_seed_keeps_classical_start():
 
 @pytest.mark.parametrize("p", (1.02, 1.05, 1.1, 1.5, 2.41, 3.0, 5.0, 10.0, 20.0, 21.5))
 def test_conjugate_half_within_one_ulp_of_the_inline_form(p):
-    # the upper half of the quarter period takes (1 - s^p')^(1/p) from the
-    # shared log(1 - y^p); the inline form with its own logs that it replaced:
+    # above the p-diagonal the sine takes (1 - s^p')^(1/p) from the shared
+    # log(1 - y^p); the inline form with its own logs that it replaced:
     def old_upper_half(ft, t):
         s = ft._dual.eval(0.5 - t)
         with np.errstate(divide="ignore"):
@@ -248,6 +217,6 @@ def test_conjugate_half_within_one_ulp_of_the_inline_form(p):
             return np.where(s > 0.0, np.exp(np.log(-np.expm1(w)) / ft.pexp.p), 1.0)
 
     ft = fe.fast_trig(p)
-    t = np.linspace(0.25, 0.5, 20_002)[1:]
+    t = np.linspace(ft._own.t_d, 0.5, 20_002)[1:]
     ref = old_upper_half(ft, t)
     assert np.all(np.abs(ft.sin_scaled(t) - ref) <= np.spacing(ref))

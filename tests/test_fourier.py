@@ -26,7 +26,7 @@ from ptrig import (
     tail_remainder_bound,
 )
 from ptrig import fourier
-from ptrig._fast_eval import _quarter_table, fast_trig
+from ptrig._fast_eval import _tables, fast_trig
 from ptrig.fourier import (
     _coeff_quadrature,
     _odd_coeffs,
@@ -325,7 +325,7 @@ class TestBankEstimatesAreHonest:
 def _clear_coefficient_caches():
     fourier._coeff_cached.cache_clear()
     fast_trig.cache_clear()
-    _quarter_table.cache_clear()
+    _tables.clear()
 
 
 class TestCoefficientBank:
@@ -439,3 +439,12 @@ class TestCompareBounds:
     def test_requires_branch(self):
         with pytest.raises(DomainError):
             compare_bounds(2.0)
+
+
+def test_tier_grid_is_one_read_only_graded_grid():
+    x, w, nc = fourier._tier_grid(255)
+    ref = graded_grid((0.0, 0.5), 0.5 / 256)
+    assert (x.tobytes(), w.tobytes(), nc) == (ref[0].tobytes(), ref[1].tobytes(), ref[2])
+    assert fourier._tier_grid(255)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0

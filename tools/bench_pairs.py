@@ -23,8 +23,9 @@ for each side its commit and the sha256 of its src/ (as run.py reports
 it).  A summary per workload gives each metric's median on both sides,
 the parent/change ratio of the medians, in how many pairs the change was
 lower, whether every pair's round-0 digests were equal, whether the
-two sides' traced counts were equal (`counts_equal`), and how many runs
-of each side reported failed operations (`runs_with_failures`).
+two sides' traced counts were equal (`counts_equal`) and, for each count
+that differs, its [parent, change] values (`counts_differ`), and how
+many runs of each side reported failed operations (`runs_with_failures`).
 
 A run that exits non-zero, or prints no result line, ends the
 comparison: the report collected so far is written first, with a
@@ -131,11 +132,17 @@ def summary(pairs: list, traced: dict) -> dict:
     runs = {side: [pair[side] for pair in pairs if side in pair]
             + ([traced[side]] if side in traced else []) for side in SIDES}
     pairs = [pair for pair in pairs if all(side in pair for side in SIDES)]
+    differ = None
+    if len(traced) == len(SIDES):
+        parent, change = (traced[side]["counts"] for side in SIDES)
+        differ = {name: [parent.get(name), change.get(name)]
+                  for name in sorted(parent.keys() | change.keys())
+                  if parent.get(name) != change.get(name)}
     out = {"complete_pairs": len(pairs),
            "digests_equal": all(pair["parent"]["digest"] == pair["change"]["digest"]
                                 for pair in pairs),
-           "counts_equal": (traced["parent"]["counts"] == traced["change"]["counts"]
-                            if len(traced) == len(SIDES) else None),
+           "counts_equal": None if differ is None else not differ,
+           "counts_differ": differ,
            "runs_with_failures": {side: sum(run["failed"] > 0 for run in runs[side])
                                   for side in SIDES}}
     for name in METRICS if pairs else ():
@@ -178,8 +185,9 @@ def main(argv=None) -> int:
                               + ", ".join(f"{k} {run[k]:.4g}" for k in METRICS), flush=True)
                 for side in SIDES:
                     traced[side] = traced_counts(trees[side], workload, args.seed, args.seconds)
-                print(f"{workload} traced counts equal: "
-                      f"{summary(pairs, traced)['counts_equal']}", flush=True)
+                differ = summary(pairs, traced)["counts_differ"]
+                print(f"{workload} traced counts equal: {not differ}"
+                      + (f"; differ: {', '.join(differ)}" if differ else ""), flush=True)
         except RunFailed as exc:
             failed_run = {"side": side, **exc.record}
             print(f"bench_pairs: {workload} failed on the {side} side "
