@@ -20,12 +20,11 @@ and below it cos_p = (1 - y^p)^(1/p) with y = S_p(t).  Either side forms
 is the power series of sin_p in w = u^p, found by series reversion: its
 coefficients follow from y' = (1 - y^p)^(1/p) by Miller's recurrence for
 powers of a series, and it must reach double precision at t_d(p), or the
-table is refused (ConvergenceError).  Construction is probed at 33
-points: the safeguarded Newton inversion started from the table itself
-runs until its residual test accepts, which certifies the reference
-whatever the start, and a table that disagrees with the reference is
-refused too, so the series is checked by a route independent of it.
-The public functions start the same inversion from these tables.
+table is refused (ConvergenceError).  Construction checks each series at
+33 points against the integral it inverts, F_p(y) = pi_p t summed as a
+series of positive terms, and refuses a table that misses it: a check
+independent of the series and of core's Newton inversion, which the
+public functions start from these tables.
 """
 
 from __future__ import annotations
@@ -37,12 +36,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
-from .core import PExponent, _cos_from_y, _log_one_minus_pow, invert_quarter, reduce_argument
+from .core import PExponent, _cos_from_y, _log_one_minus_pow, reduce_argument
 from .errors import ConvergenceError, DomainError
 
 _TERMS = 64  # most power series terms per exponent
 _TAIL = 8  # trailing terms that must be negligible where the series serves
+_TOL = 2.0**-46  # relative residual of F_q(y) = pi_q t that a table must meet
 
 
 def _series(p: float, w_top: float) -> np.ndarray:
@@ -87,21 +86,25 @@ def _converged(e, w) -> bool:
     return bool(terms[-_TAIL:].max() <= 2.0**-60 and terms.sum() <= 4.0)
 
 
+def _hyp2f1(b: float, z):
+    """2F1(b, b; 1 + b; z) for 0 <= z <= 1/2, elementwise, as a running sum
+    of 61 terms.  Term n is below z^n, and once a term is under 2^-60 of the
+    sum, it and every later one are below half an ulp of it."""
+    ratio = [(b + n) ** 2 / ((b + 1.0 + n) * (n + 1.0)) for n in range(60)]
+    steps = np.ones(np.shape(z) + (61,))  # term n is the product of steps 0..n
+    steps[..., 1:] = np.multiply.outer(z, ratio)
+    return np.cumsum(np.cumprod(steps, axis=-1), axis=-1)[..., -1]
+
+
 def _diagonal(pexp: PExponent) -> float:
     """t_d(p), where sin_p(pi_p t_d)^p = 1/2, from the smaller exponent a of
     the pair: pi_a T = F_a(2^(-1/a)) = 2^(-1/a) 2F1(b, b; 1 + b; 1/2) with
-    b = 1/a, a sum of positive terms with ratio below 1/2.  t_d = T for
-    p <= p' and 1/2 - T otherwise, so t_d(p) + t_d(p') = 1/2."""
+    b = 1/a.  t_d = T for p <= p' and 1/2 - T otherwise, so
+    t_d(p) + t_d(p') = 1/2."""
     own = pexp.p <= pexp.p_conj
     small = pexp if own else pexp.conjugate
     b = 1.0 / small.p
-    term = total = 1.0
-    n = 0
-    while term > 2.0**-60 * total:
-        term *= (b + n) ** 2 / (2.0 * (b + 1.0 + n) * (n + 1.0))
-        total += term
-        n += 1
-    T = 2.0**-b * total / small.pi_p
+    T = 2.0**-b * float(_hyp2f1(b, 0.5)) / small.pi_p
     return T if own else 0.5 - T
 
 
@@ -193,22 +196,22 @@ class FastPTrig:
         return c_sign * self._quarter_cos(tq)
 
     def _validate(self):
-        """Probe the tables against the Newton inversion they cache.
-
-        Newton starts from the tables, which only saves iterations: its
-        residual test certifies the reference whatever the start, so a
-        wrong table value is corrected there and shows as a deviation.
+        """Check each series against the integral it inverts: at 33
+        golden-ratio points t of [0, t_d(q)], y = S_q(t) must meet
+        |F_q(y) - pi_q t| <= _TOL pi_q t, with F_q(y) = y 2F1(1/q, 1/q;
+        1 + 1/q; y^q) summed where y^q <= 1/2 (NaN fails).  Since F_q' >= 1,
+        the residual bounds |y - sin_q(pi_q t)| there.
         """
-        golden = 0.5 * (math.sqrt(5.0) - 1.0)
-        t = np.mod(golden * np.arange(1, 34), 1.0) * 0.5
-        y_tab = self._quarter_sin(t)
-        y_ref = invert_quarter(self.pexp.pi_p * t, self.pexp, DEFAULT_CONFIG, y_tab)
-        c_ref = _cos_from_y(y_ref, self.pexp.p)
-        dev = np.concatenate([y_tab - y_ref, self._quarter_cos(t) - c_ref])
-        if not np.max(np.abs(dev)) <= 5e-12:  # NaN fails too
-            raise ConvergenceError(
-                f"fast evaluator tables for p={self.pexp.p} failed validation"
-            )
+        frac = np.mod(0.5 * (math.sqrt(5.0) - 1.0) * np.arange(1, 34), 1.0)
+        for table in (self._own, self._dual):
+            t = frac * table.t_d
+            y, u = table.eval(t), table.pi_p * t
+            z = y**table.p
+            if not (np.all(z <= 0.5)
+                    and np.all(abs(y * _hyp2f1(1.0 / table.p, z) - u) <= _TOL * u)):
+                raise ConvergenceError(
+                    f"fast evaluator tables for p={self.pexp.p} failed validation"
+                )
 
 
 @lru_cache(maxsize=64)

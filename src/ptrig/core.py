@@ -298,7 +298,8 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
     top = (y == 1.0) & ~at1
     if top.any():
         gap = (u_star - u[top]) * (1.0 - 1.0 / p) * p ** (1.0 / p)
-        y[top] = np.clip(1.0 - gap**pexp.p_conj, 0.0, 1.0 - _EPS)
+        with np.errstate(over="ignore"):  # gap > 1 near p = 1: inf, clipped to 0
+            y[top] = np.clip(1.0 - gap**pexp.p_conj, 0.0, 1.0 - _EPS)
     done |= at0 | at1
     collapsed = np.zeros(u.shape, dtype=bool)
     r_prev = np.full_like(u, np.inf)
@@ -414,30 +415,19 @@ def incomplete_F(y, p, config: EvalConfig | None = None):
     return _scalar_or_array(vals, scalar)
 
 
-@lru_cache(maxsize=64)
-def _table_refused(p: float) -> bool:
-    """Whether fast_trig(p) refuses its tables; memoised, so paid once per p."""
-    from ._fast_eval import fast_trig  # _fast_eval imports this module
-
-    try:
-        fast_trig(p)
-    except ConvergenceError:
-        return True
-    return False
-
-
 def _invert(u, pexp: PExponent, config: EvalConfig | None):
     """invert_quarter started from the cached table of p, wherever one can be built.
 
     Whether to seed depends on p alone, so a result is bitwise independent
     of how a batch is split and of whether the table was already cached.
     """
-    seed = None
-    if not _table_refused(pexp.p):
-        from ._fast_eval import fast_trig
+    from ._fast_eval import fast_trig  # _fast_eval imports this module
 
-        t = np.clip(np.nan_to_num(np.asarray(u, dtype=float) / pexp.pi_p), 0.0, 0.5)
+    t = np.clip(np.nan_to_num(np.asarray(u, dtype=float) / pexp.pi_p), 0.0, 0.5)
+    try:
         seed = fast_trig(pexp.p)._quarter_sin(t)
+    except ConvergenceError:  # p above 2^53, refused before any series is built
+        seed = None
     return invert_quarter(u, pexp, config, seed)
 
 
@@ -499,7 +489,7 @@ def d2cos_p(x, p, config: EvalConfig | None = None):
     """
     pexp = PExponent.of(p)
     arr, scalar = _as_batch(x)
-    if np.any(arr <= 0.0) or np.any(arr >= pexp.quarter):
+    if not np.all((arr > 0.0) & (arr < pexp.quarter)):  # NaN fails too
         raise DomainError("d2cos_p requires x strictly inside (0, pi_p/2)")
     p = pexp.p
     if p == 2.0:  # where sin_p rounds to 1 the product below is inf * 0
@@ -525,6 +515,11 @@ def c_p(p: float) -> float:
     first = math.exp((a / p) * math.log(a)) if a > 0 else 1.0
     second = math.exp((b / p) * math.log(b)) if b > 0 else 1.0
     return first * second
+
+
+def large_p_bracket(p: float) -> float:
+    """The paper's bracket 2 + pi^2 (p - 2)/2 in the bounds for p > 2."""
+    return 2.0 + 0.5 * math.pi * math.pi * (p - 2.0)
 
 
 def m_p(p: float, config: EvalConfig | None = None) -> float:

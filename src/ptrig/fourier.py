@@ -41,7 +41,7 @@ import numpy as np
 
 from ._fast_eval import fast_trig
 from .config import DEFAULT_CONFIG, EvalConfig
-from .core import PExponent, c_p, check_exponent, pi_p
+from .core import PExponent, c_p, check_exponent, large_p_bracket, pi_p
 from .errors import ConvergenceError, DomainError
 from .quadrature import GAUSS_OFFSETS, graded_grid, halved_sum, uniform_runs
 from .thresholds import odd_reciprocal_sum
@@ -296,7 +296,7 @@ def cosine_bound_small_p(p: float, j: int) -> float:
 
 def _large_p_prefactor(p: float) -> float:
     conj = p / (p - 1.0)
-    return 2.0 * pi_p(conj) / (PI * PI * (p - 1.0)) * (2.0 + 0.5 * PI * PI * (p - 2.0))
+    return 2.0 * pi_p(conj) / (PI * PI * (p - 1.0)) * large_p_bracket(p)
 
 
 def cosine_bound_large_p(p: float, j: int) -> float:
@@ -420,7 +420,7 @@ def compare_bounds(p: float, J: int = 199, config: EvalConfig | None = None):
             raise AssertionError("small-p tail bound failed to improve on prior work")
     else:
         odd_tail = odd_reciprocal_sum(p / (p - 1.0)) - 1.0
-        bracket_new = 2.0 + 0.5 * PI * PI * (p - 2.0)
+        bracket_new = large_p_bracket(p)
         bracket_prior = 4.0 + PI * (p - 1.0)
         common = 2.0 * pi_p(p / (p - 1.0)) / (PI * PI * (p - 1.0))
         rows += [

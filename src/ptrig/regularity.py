@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EvalConfig
-from .core import PExponent, c_p, check_exponent, pi_p
+from .core import PExponent, c_p, check_exponent, large_p_bracket, pi_p
 from .errors import ConvergenceError, DomainError, InsufficientCoefficients
 from .fourier import KIND_SINE, _check_index, _odd_coeffs, _worst_slack
 
@@ -73,7 +73,7 @@ def sine_bound_large_p(p: float, j: int) -> float:
     j = _check_index(j, 3, "sine_bound_large_p")
     conj = p / (p - 1.0)
     pref = 2.0 * pi_p(p) * pi_p(conj) / (PI**3 * (p - 1.0))
-    return pref * (2.0 + 0.5 * PI * PI * (p - 2.0)) * float(j) ** (-(conj + 1.0))
+    return pref * large_p_bracket(p) * float(j) ** (-(conj + 1.0))
 
 
 def sine_bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:

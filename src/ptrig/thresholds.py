@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import c_p, check_exponent, pi_p
+from .core import c_p, check_exponent, large_p_bracket, pi_p
 from .errors import BracketError, ConvergenceError
 
 PI = math.pi
@@ -79,8 +79,7 @@ def upper_threshold_lhs(p: float) -> float:
     p = check_exponent(p, "upper_threshold_lhs")
     conj = p / (p - 1.0)
     s = math.sin(PI / p)
-    bracket = 2.0 + 0.5 * PI**2 * (p - 2.0)
-    return PI / (p * p * s * s) * bracket * (odd_reciprocal_sum(conj) - 1.0)
+    return PI / (p * p * s * s) * large_p_bracket(p) * (odd_reciprocal_sum(conj) - 1.0)
 
 
 def _solve_bracketed(f, lo, hi):
@@ -137,7 +136,7 @@ def solve_upper_threshold() -> RootResult:
         2.0
         * pi_p(conj)
         / (PI**2 * (p - 1.0))
-        * (2.0 + 0.5 * PI**2 * (p - 2.0))
+        * large_p_bracket(p)
         * (odd_reciprocal_sum(conj) - 1.0)
     )
     rhs = 8.0 / (PI * pi_p(p))

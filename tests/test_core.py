@@ -16,6 +16,7 @@ from ptrig import (
     PExponent,
     c_p,
     cos_p,
+    cosine_coeff,
     d2cos_p,
     dcos_p,
     exp_p,
@@ -23,10 +24,11 @@ from ptrig import (
     m_p,
     pi_p,
     sin_p,
+    sine_coeff,
     u_p,
     v_p,
 )
-from ptrig._fast_eval import FastPTrig, _tables, fast_trig
+from ptrig._fast_eval import _QuarterTable, _tables, fast_trig
 from ptrig.core import _cos_from_y, invert_quarter, reduce_argument
 
 from conftest import incomplete_F_oracle, sin_p_oracle
@@ -298,6 +300,74 @@ def test_extreme_exponents_stay_in_range(p, xs):
                     fn(bad, p)
 
 
+# p - 1 from 1e-15 to 1e-3, and p from 50 to 1e300, log-uniformly
+log_extreme_exponents = st.one_of(
+    st.floats(-15.0, -3.0).map(lambda k: 1.0 + 10.0**k),
+    st.floats(math.log10(50.0), 300.0).map(lambda k: 10.0**k),
+)
+# arguments as fractions of the quarter period, half of them log-uniform:
+# at p = 1 + 3.6e-14 the quarter period is about 2.8e13, so x in
+# [-1e3, 1e3] never leaves its first 4e-11
+fractions = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.floats(-20.0, 0.0).map(lambda k: 10.0**k)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _finite_or_refused(call, finite=True):
+    """call() returns values that are finite (or, with finite=False, at least
+    not NaN), or raises DomainError or ConvergenceError; anything else, a
+    RuntimeWarning included, fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            vals = np.asarray(call())
+        except (DomainError, ConvergenceError):
+            return
+    assert not np.any(np.isnan(vals))
+    if finite:
+        assert np.all(np.isfinite(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_extreme_exponents, fractions)
+def test_extreme_exponents_give_values_or_refuse(p, fs):
+    quarter = PExponent(p).quarter
+    f = np.array(fs)
+    # dcos_p and d2cos_p return -inf (p > 2) or +inf (1.5 < p < 2) where
+    # the true value diverges at pi_p/2
+    _finite_or_refused(lambda: dcos_p(f * quarter, p), finite=False)
+    _finite_or_refused(lambda: d2cos_p(f * quarter, p), finite=False)
+    _finite_or_refused(lambda: u_p(0.5 * f, p))
+    _finite_or_refused(lambda: v_p(0.5 * f, p))
+    _finite_or_refused(lambda: exp_p(8.0 * (f - 0.5) * quarter, p))
+    for fn in (dcos_p, d2cos_p, u_p, v_p, exp_p):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fn(bad, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_extreme_exponents, st.integers(0, 1100))
+def test_extreme_exponents_give_coefficients_or_refuse(p, j):
+    # sine_coeff raises ConvergenceError for p - 1 below about 1e-6, where
+    # its error estimate, scaled by pi_p, passes the tolerance
+    for fn in (cosine_coeff, sine_coeff):
+        _finite_or_refused(lambda: fn(p, j))
+
+
+def test_top_start_near_one_warns_of_nothing():
+    # at p = 1 + 3.6e-14 the table gives y = 1 here, and Newton's start from
+    # the expansion at pi_p/2 raised a gap above 1 to the power p' ~ 2.8e13
+    p = 1.000000000000036
+    x = PExponent(p).quarter * 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = [fn(x, p) for fn in (sin_p, cos_p, exp_p, dcos_p, d2cos_p)] + [u_p(0.5e-5, p)]
+    assert np.all(np.isfinite(vals))
+
+
 class TestCosP:
     def test_endpoints(self):
         for p in P_GRID:
@@ -494,6 +564,12 @@ class TestD2cosP:
             d2cos_p(0.0, 1.5)
         with pytest.raises(DomainError):
             d2cos_p(pi_p(1.5) / 2.0, 1.5)
+
+    @pytest.mark.parametrize("p", (1.5, 2.0))
+    def test_rejects_nan(self, p):
+        # p = 2 returns -cos x without an inversion, whose check NaN reached
+        with pytest.raises(DomainError, match="d2cos_p requires"):
+            d2cos_p(math.nan, p)
 
 
 class TestCp:
@@ -707,7 +783,6 @@ class TestTableSeededInversion:
         x = np.random.default_rng(32).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 200)
         fast_trig.cache_clear()
         _tables.clear()
-        core._table_refused.cache_clear()
         cold = _both(x, pe)
         fast_trig(p)
         warm = _both(x, pe)
@@ -731,24 +806,23 @@ class TestTableSeededInversion:
 
     @pytest.mark.parametrize("p", (2.0**54, 1e17))  # above 2^53, no conjugate
     def test_refused_table_falls_back_once(self, p, monkeypatch):
+        # a refusal comes before any series is built, so it costs nothing
         pe = PExponent(p)
         builds = []
-        original = FastPTrig.__init__
+        original = _QuarterTable.__init__
 
         def counted(self, q):
             builds.append(q)
             original(self, q)
 
-        monkeypatch.setattr(FastPTrig, "__init__", counted)
-        core._table_refused.cache_clear()
+        monkeypatch.setattr(_QuarterTable, "__init__", counted)
         x = np.random.default_rng(35).uniform(-4.0 * pe.pi_p, 4.0 * pe.pi_p, 100)
         with pytest.raises(ConvergenceError):
             fast_trig(p)
-        builds.clear()
         s, c = _unseeded(x, pe)
         assert np.array_equal(sin_p(x, pe), s)
         assert np.array_equal(cos_p(x, pe), c)
-        assert builds == [p]
+        assert builds == []
 
 
 def test_thread_safety_bitwise(rng):

@@ -1,5 +1,5 @@
 """The tables of _fast_eval: the power series, the split at the p-diagonal,
-the construction probe, and accuracy over every exponent up to 2^53.
+the construction check, and accuracy over every exponent up to 2^53.
 
 Up to p = 21.5 the tables are checked against the inverse beta
 (`sin_p_oracle`); above it, where y^p underflows there, against the
@@ -10,11 +10,13 @@ residual of the hypergeometric quarter-period integral
 import copy
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import ptrig._fast_eval as fe
+import ptrig.core as core
 from conftest import diagonal_residual, incomplete_F_oracle, sin_p_oracle
 from ptrig import basis_criterion, pi_p, sin_p
 from ptrig.core import PExponent, invert_quarter, reduce_argument
@@ -51,6 +53,18 @@ def test_probe_refuses_a_wrong_table(cases, change, monkeypatch):
             fe.FastPTrig(p)
         monkeypatch.undo()
         fe.FastPTrig(p)  # the true tables pass
+
+
+@pytest.mark.parametrize("p", (1.0001, 1.5, 3.0, 1e6))
+def test_tables_run_no_inversion(p, monkeypatch):
+    # the check sums F_q by its series: no Newton iteration, no tanh-sinh node
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table build called the inversion layer")
+
+    monkeypatch.setattr(core, "invert_quarter", refuse)
+    monkeypatch.setattr(core, "_incomplete_F_batch", refuse)
+    monkeypatch.setattr(fe, "_tables", weakref.WeakValueDictionary())  # build afresh
+    fe.FastPTrig(p)
 
 
 @pytest.mark.parametrize("p", (1.0001, 1.02, 1.1, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 21.5, 1e3))
