@@ -95,37 +95,6 @@ def _write(records, args):
             stream.close()
 
 
-def _load_config(args) -> EvalConfig:
-    """EvalConfig from a file of `field = value` lines (# comments), then --tol."""
-    kinds = {f.name: type(getattr(DEFAULT_CONFIG, f.name)) for f in dataclasses.fields(EvalConfig)}
-    kwargs = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as handle:
-                lines = handle.readlines()
-        except OSError as exc:
-            raise DomainError(f"cannot read config file {args.config!r}: {exc.strerror}") from None
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, raw = (part.strip() for part in line.partition("="))
-            if not eq or key not in kinds:
-                raise DomainError(
-                    f"config line {line!r} is not key = value with a key among {', '.join(kinds)}"
-                )
-            try:
-                kwargs[key] = kinds[key](raw)
-            except ValueError:
-                raise DomainError(
-                    f"config key {key} requires "
-                    f"{'a number' if kinds[key] is float else 'an integer'}, got {raw!r}"
-                ) from None
-    if getattr(args, "tol", None) is not None:
-        kwargs["rel_tol"] = args.tol
-    return EvalConfig(**kwargs) if kwargs else DEFAULT_CONFIG
-
-
 def _grid(args) -> np.ndarray:
     if args.x is not None:
         return np.array([args.x], dtype=float)
@@ -272,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--tol", type=float, default=None, help="relative tolerance override")
-    common.add_argument("--config", default=None, help="key=value config file")
+    common.add_argument("--tol", type=float, default=None, help="relative tolerance (default 1e-12)")
     common.add_argument("--timestamp", default=None, help="fixed ISO-8601 timestamp")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,7 +288,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg = DEFAULT_CONFIG if args.tol is None else EvalConfig(rel_tol=args.tol)
         if hasattr(args, "p"):
             core.PExponent.of(args.p)
         stamp = _timestamp(args.timestamp)

@@ -10,30 +10,20 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances and iteration caps for quadrature and inversion.
+    """The one accuracy target of the numerical routines.
 
-    rel_tol / abs_tol control quadrature refinement and Newton acceptance,
-    max_newton_iters caps the safeguarded inversion of the quarter-period
-    integral, and quad_levels caps tanh-sinh refinement depth.
+    rel_tol sets tanh-sinh refinement and Newton acceptance in core and
+    bounds the error estimates of the panel quadratures in fourier and
+    basis_operator.  The absolute tolerance and the iteration caps are
+    constants of core.
     """
 
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_newton_iters: int = 60
-    quad_levels: int = 12
 
     def __post_init__(self):
         # an infinite tolerance would accept every quadrature estimate
-        for name in ("rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {value}")
-        if self.max_newton_iters < 1:
-            raise DomainError(
-                f"max_newton_iters must be at least 1, got {self.max_newton_iters}"
-            )
-        if self.quad_levels < 1:
-            raise DomainError(f"quad_levels must be at least 1, got {self.quad_levels}")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
 
 
 DEFAULT_CONFIG = EvalConfig()

@@ -33,6 +33,9 @@ from .errors import ConvergenceError, DomainError
 
 _EPS = float(np.finfo(float).eps)
 _BLOCK = 1 << 15  # elements of one tanh-sinh row block: a few arrays of it stay in cache
+_ABS_TOL = 1e-14  # absolute part of the quadrature and inversion residual tests
+_QUAD_LEVELS = 12  # tanh-sinh refinement levels before ConvergenceError
+_NEWTON_ITERS = 60  # safeguarded Newton steps before ConvergenceError
 
 
 def check_exponent(p, name: str, lo: float = 1.0, hi: float = math.inf, var: str = "p") -> float:
@@ -178,7 +181,7 @@ def _fp_integrand(x, one_minus_x, p):
     return np.exp(out, out=out)
 
 
-def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol, max_levels):
+def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol):
     """F_p over a batch of upper limits in [0, 1]; returns (values, errors).
 
     Each element freezes at its own first converged refinement level, so
@@ -188,7 +191,8 @@ def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol, max_levels):
     temporaries whatever the batch size; each row is still its own
     pairwise sum, so the blocks do not change a bit.  F_p(1) is pi_p/2 by
     the definition pi_p = 2 F_p(1); only y in (0, 1) is integrated, which
-    keeps the tanh-sinh nodes off the singular endpoint.
+    keeps the tanh-sinh nodes off the singular endpoint.  Elements still
+    unconverged after _QUAD_LEVELS refinements raise ConvergenceError.
     """
     y = np.asarray(y, dtype=float)
     out = np.where(y == 1.0, pexp.quarter, 0.0)
@@ -207,7 +211,7 @@ def _incomplete_F_batch(y, pexp: PExponent, rel_tol, abs_tol, max_levels):
     vals = np.zeros(m)
     errs = np.full(m, np.inf)
     active = np.ones(m, dtype=bool)
-    for level in range(max_levels + 1):
+    for level in range(_QUAD_LEVELS + 1):
         xi, one_minus_xi, w = _ts_level(level, t_max)
         one_plus_xi = 1.0 + xi
         rows = np.flatnonzero(active)
@@ -269,11 +273,10 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
     Termination is by residual tolerance, or, where F_p is too steep for
     any double to meet it (near pi_p/2), by bracket collapse: once the
     bracket is 4 eps wide the iteration stops, and halving outside the
-    `max_newton_iters` budget narrows it to two adjacent doubles, so the
+    _NEWTON_ITERS budget narrows it to two adjacent doubles, so the
     exact root lies within one ulp of the result.  Arguments within 4 eps
     (relative) of pi_p/2 map to 1.
     """
-    cfg = config or DEFAULT_CONFIG
     u = np.asarray(u, dtype=float)
     u_star = pexp.quarter
     if not np.all((u >= -1e-15) & (u <= u_star * (1.0 + 1e-13))):
@@ -303,16 +306,15 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
     done |= at0 | at1
     collapsed = np.zeros(u.shape, dtype=bool)
     r_prev = np.full_like(u, np.inf)
-    qrel = max(cfg.rel_tol / 20.0, 4.0 * _EPS)
-    qabs = cfg.abs_tol / 10.0
+    qrel = max((config or DEFAULT_CONFIG).rel_tol / 20.0, 4.0 * _EPS)
 
     def residual(idx, yl):
-        F, Ferr = _incomplete_F_batch(yl, pexp, qrel, qabs, cfg.quad_levels)
+        F, Ferr = _incomplete_F_batch(yl, pexp, qrel, _ABS_TOL / 10.0)
         r = F - u[idx]
-        tol = np.maximum(cfg.abs_tol + 8.0 * _EPS * u[idx], 4.0 * Ferr)
+        tol = np.maximum(_ABS_TOL + 8.0 * _EPS * u[idx], 4.0 * Ferr)
         return r, np.abs(r) <= tol
 
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(_NEWTON_ITERS):
         if done.all():
             break
         idx = ~done
@@ -346,7 +348,7 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
         idx = ~done
         r, _ = residual(idx, y[idx])
         raise ConvergenceError(
-            f"quarter-period inversion exhausted {cfg.max_newton_iters} "
+            f"quarter-period inversion exhausted {_NEWTON_ITERS} "
             f"iterations (residual {float(np.max(np.abs(r))):.3e})"
         )
     # A 4 eps bracket above 2^-k holds at most 2^(3+k) ulps, and the
@@ -406,12 +408,11 @@ def incomplete_F(y, p, config: EvalConfig | None = None):
     singularity is absorbed by the tanh-sinh transformation.
     """
     pexp = PExponent.of(p)
-    cfg = config or DEFAULT_CONFIG
     arr, scalar = _as_batch(y)
     bad = arr[~((arr >= 0.0) & (arr <= 1.0))]
     if bad.size:
         raise DomainError(f"incomplete_F requires 0 <= y <= 1, got {float(bad[0])!r}")
-    vals, _ = _incomplete_F_batch(arr, pexp, cfg.rel_tol, cfg.abs_tol, cfg.quad_levels)
+    vals, _ = _incomplete_F_batch(arr, pexp, (config or DEFAULT_CONFIG).rel_tol, _ABS_TOL)
     return _scalar_or_array(vals, scalar)
 
 

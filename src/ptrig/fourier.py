@@ -80,7 +80,6 @@ class CriterionReport:
     holds: bool
 
 
-_CHUNK = 16384  # table evaluations per call, to bound the temporaries
 # Taylor terms of the end-panel phases, which are at most pi/2: the first
 # term left out is below (pi/2)^28 / 28! < 1e-24
 _MOMENTS = 14
@@ -93,11 +92,6 @@ def _tier(j: int):
     (T/2, T] for T = 2^k - 1."""
     last = max(127, (1 << int(j).bit_length()) - 1)
     return (1 if last == 127 else last // 2 + 2), last
-
-
-def _samples(scaled, x: np.ndarray) -> np.ndarray:
-    """scaled(x) in chunks of _CHUNK points."""
-    return np.concatenate([scaled(x[i : i + _CHUNK]) for i in range(0, x.size, _CHUNK)])
 
 
 def _moments(z, f, odd: bool):
@@ -156,7 +150,7 @@ def _coeff_quadrature(p: float, j):
     first, last = _tier(js.max())
     h = 0.5 / (last + 1)
     x, w, nc = _tier_grid(last)
-    f = w * _samples(fast_trig(float(p)).cos_scaled, x)
+    f = w * fast_trig(float(p)).cos_scaled(x)
     rows = np.arange(first, last + 1, 2)
     theta = rows * (PI * h)
     powers = np.vander(-theta * theta, _MOMENTS, increasing=True)
@@ -282,7 +276,7 @@ def coeff_relation_check(p, j: int, config: EvalConfig | None = None) -> float:
     j = _check_index(j, 1, "coeff_relation_check", odd=True)
     b, _ = cosine_coeff(pexp, j, config)
     x, w, nc = _tier_grid(_tier(j)[1])
-    weighted = 4.0 * w * _samples(fast_trig(pexp.p).sin_scaled, x) * np.sin(j * PI * x)
+    weighted = 4.0 * w * fast_trig(pexp.p).sin_scaled(x) * np.sin(j * PI * x)
     a, _ = halved_sum(weighted, nc, (config or DEFAULT_CONFIG).rel_tol, f"a_{j} at p={pexp.p!r}")
     return abs(b - (j * PI / pexp.pi_p) * a)
 

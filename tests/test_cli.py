@@ -1,6 +1,5 @@
 """Command-line interface: output schema, determinism, exit codes."""
 
-import dataclasses
 import json
 import math
 import warnings
@@ -8,7 +7,6 @@ import warnings
 import jsonschema
 import pytest
 
-from ptrig import EvalConfig
 from ptrig.cli import EXIT_DOMAIN, EXIT_OK, main
 
 FIXED_STAMP = "2026-01-01T00:00:00+00:00"
@@ -101,18 +99,15 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert "v_p requires p > 2" in err
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+    def test_numerical_failure_exit_code(self, capsys):
         from ptrig.cli import EXIT_NUMERICAL
-        from ptrig import pi_p
 
-        cfg = tmp_path / "starved.cfg"
-        cfg.write_text("quad_levels = 1\n")
-        code, _, err = run_cli(
-            capsys, "eval", "sin_p", "--p", "1.5",
-            "--x", str(0.4 * pi_p(1.5)), "--config", str(cfg),
-        )
+        # no quadrature estimate meets a tolerance below the rounding of its sums
+        code, out, err = run_cli(capsys, "coeffs", "--p", "1.5", "--jmax", "5", "--tol", "1e-300")
         assert code == EXIT_NUMERICAL
-        assert "numerical failure" in err
+        assert out == ""
+        assert "numerical failure: b_1 at p=1.5: quadrature error estimate" in err
+        assert "exceeds rel_tol 1.000e-300" in err
 
 
 class TestCoeffs:
@@ -312,46 +307,15 @@ class TestReproducibility:
             j, value = int(cells[ji]), float(cells[vi])
             assert value == ptrig.cosine_coeff(1.5, j)[0]
 
-    def test_config_file_and_override(self, tmp_path, capsys):
+    def test_config_flag_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "settings.cfg"
-        cfg.write_text("rel_tol = 1e-10\nquad_levels = 10\n")
-        _, out, _ = run_cli(
-            capsys, "eval", "sin_p", "--p", "2", "--x", "0.3", "--config", str(cfg)
-        )
-        (rec,) = parse_ndjson(out)
-        expected = dataclasses.asdict(EvalConfig(rel_tol=1e-10, quad_levels=10))
-        assert list(rec["config"].items()) == list(expected.items())
-        _, out, _ = run_cli(
-            capsys, "eval", "sin_p", "--p", "2", "--x", "0.3",
-            "--config", str(cfg), "--tol", "1e-9",
-        )
-        (rec,) = parse_ndjson(out)
-        assert rec["config"]["rel_tol"] == 1e-9
-
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            ("max_newton_iters = 1.5\n",
-             "config key max_newton_iters requires an integer, got '1.5'"),
-            ("rel_tol = abc\n", "config key rel_tol requires a number, got 'abc'"),
-            (None, "cannot read config file"),
-            ("rel_tol = inf\n", "rel_tol must be positive and finite, got inf"),
-            ("abs_tol = inf\n", "abs_tol must be positive and finite, got inf"),
-            ("reltol = 1e-3\n", "config line 'reltol = 1e-3' is not key = value"),
-            ("# fine\nthis line has no equals\n",
-             "config line 'this line has no equals' is not key = value"),
-        ],
-    )
-    def test_bad_config_is_domain_error(self, tmp_path, capsys, text, message):
-        cfg = tmp_path / "settings.cfg"
-        if text is not None:
-            cfg.write_text(text)
-        code, out, err = run_cli(
-            capsys, "eval", "sin_p", "--p", "2", "--x", "0.3", "--config", str(cfg)
-        )
-        assert code == EXIT_DOMAIN
-        assert out == ""
-        assert message in err
+        cfg.write_text("rel_tol = 1e-10\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "sin_p", "--p", "2", "--x", "0.3", "--config", str(cfg)])
+        assert exc.value.code == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --config" in captured.err
 
     def test_infinite_tol_flag_is_domain_error(self, capsys):
         code, out, err = run_cli(
@@ -378,3 +342,33 @@ class TestSchemaConformance:
         assert code == EXIT_OK
         for rec in parse_ndjson(out):
             jsonschema.validate(rec, schema)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "sin_p", "--p", "1.5", "--x", "0.3"),
+            ("coeffs", "--p", "1.5", "--jmax", "3"),
+            ("criterion", "--p", "1.7", "--J", "99"),
+            ("thresholds",),
+            ("regularity", "--p", "3", "--rho", "1.0", "--J", "51"),
+            ("operator", "--p", "1.5", "--N", "4", "--action", "reconstruct"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_is_rel_tol_alone(self, capsys, argv):
+        for extra, rel_tol in (((), 1e-12), (("--tol", "1e-10"), 1e-10)):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == EXIT_OK
+            recs = parse_ndjson(out)
+            assert recs
+            assert all(rec["config"] == {"rel_tol": rel_tol} for rec in recs)
+
+    def test_schema_refuses_removed_config_fields(self, capsys, schema):
+        _, out, _ = run_cli(capsys, "eval", "sin_p", "--p", "2", "--x", "0.3")
+        (rec,) = parse_ndjson(out)
+        jsonschema.validate(rec, schema)
+        for name, value in (("abs_tol", 1e-14), ("max_newton_iters", 60), ("quad_levels", 12)):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**rec, "config": {**rec["config"], name: value}}, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**rec, "config": {}}, schema)
