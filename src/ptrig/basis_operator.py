@@ -27,8 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._fast_eval import fast_trig
-from .config import DEFAULT_CONFIG, EvalConfig
-from .core import PExponent
+from .core import _REL_TOL, PExponent
 from .errors import ConvergenceError, DomainError
 from .fourier import KIND_COSINE, _check_index, _odd_coeffs
 from .quadrature import graded_grid, halved_sum, integrate_panels
@@ -125,19 +124,18 @@ def _periodic_even(g, x):
     return g(y)
 
 
-def _ls_norm_pow(f, s: float, edges, config: EvalConfig | None = None) -> float:
+def _ls_norm_pow(f, s: float, edges) -> float:
     """int_0^1 |f|^s on the graded grid with breakpoints at the edges."""
-    cfg = config or DEFAULT_CONFIG
     with np.errstate(over="ignore"):  # an overflow raises below or in halved_sum
         value, err = integrate_panels(lambda x: np.abs(f(x)) ** s, edges, abs_tol=math.inf)
-    if not (math.isfinite(value) and err <= cfg.rel_tol * value):
+    if not (math.isfinite(value) and err <= _REL_TOL * value):
         raise ConvergenceError(
             f"isometry_check: quadrature estimate {err:.3e} exceeds rel_tol of {value:.3e}"
         )
     return value
 
 
-def isometry_check(g, n: int, s: float, config: EvalConfig | None = None) -> float:
+def isometry_check(g, n: int, s: float) -> float:
     """|  ||M_n g||_s / ||g||_s  -  1 | for an integrable g given as a callable.
 
     Both norms come from `integrate_panels`, the dilated one with
@@ -145,7 +143,7 @@ def isometry_check(g, n: int, s: float, config: EvalConfig | None = None) -> flo
     should be smooth inside (0, 1).  Both integrate |g/M|^s, with M the
     largest |g| on the base grid, so that |g|^s neither underflows nor
     overflows on every node; M^s only rescales the norms, not their
-    ratio.  An error estimate above config.rel_tol times the integral, or
+    ratio.  An error estimate above 1e-12 times the integral, or
     a norm ||g||_s^s beyond the largest double, raises ConvergenceError.
     """
     n = _check_index(n, 1, "isometry_check", "n")
@@ -154,15 +152,15 @@ def isometry_check(g, n: int, s: float, config: EvalConfig | None = None) -> flo
     scale = float(np.max(np.abs(g(graded_grid([0.0, 1.0], 1.0)[0]))))
     if scale == 0.0:
         raise DomainError("isometry check requires a function with positive norm")
-    base = _ls_norm_pow(lambda x: g(x) / scale, s, [0.0, 1.0], config)
+    base = _ls_norm_pow(lambda x: g(x) / scale, s, [0.0, 1.0])
     if s * math.log(scale) + math.log(base) > _LOG_MAX:
         raise ConvergenceError(f"isometry_check: ||g||_s^s overflows at s={s!r}")
     folds = np.arange(n + 1) / n
-    dilated = _ls_norm_pow(lambda x: _periodic_even(g, n * x) / scale, s, folds, config)
+    dilated = _ls_norm_pow(lambda x: _periodic_even(g, n * x) / scale, s, folds)
     return abs((dilated / base) ** (1.0 / s) - 1.0)
 
 
-def build_truncated_operator(p, N: int, config: EvalConfig | None = None) -> TruncatedBasisOp:
+def build_truncated_operator(p, N: int) -> TruncatedBasisOp:
     """Assemble the sparse N x N truncation of the change-of-coordinates map.
 
     Column 0 is the unit vector (constants map to constants); column
@@ -171,7 +169,7 @@ def build_truncated_operator(p, N: int, config: EvalConfig | None = None) -> Tru
     """
     pexp = PExponent.of(p)
     N = _check_index(N, 2, "build_truncated_operator", "N")
-    values = _odd_coeffs(pexp, KIND_COSINE, 1, N - 1, config)[0]
+    values = _odd_coeffs(pexp, KIND_COSINE, 1, N - 1)[0]
     counts = np.r_[1, ((N - 1) // np.arange(1, N) + 1) // 2]
     starts = np.r_[0, np.cumsum(counts)]
     cols = np.repeat(np.arange(N), counts)
@@ -182,7 +180,7 @@ def build_truncated_operator(p, N: int, config: EvalConfig | None = None) -> Tru
     return TruncatedBasisOp(p=pexp.p, N=N, rows=rows, cols=cols, vals=vals, starts=starts)
 
 
-def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> float:
+def reconstruct_check(p, n: int, N: int) -> float:
     """Max deviation of column n of the truncated operator from quadrature.
 
     The direct route samples cos_p(n pi_p x) once on a graded grid over
@@ -191,14 +189,13 @@ def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> fl
     samples times cos(k pi x), with the constant coefficient halved to
     match the coefficient-space convention of the operator columns.  It
     takes one plain sum per k and shares neither the banks' FFTs nor their
-    end-panel moments.  An error estimate above config.rel_tol raises
+    end-panel moments.  An error estimate above 1e-12 raises
     ConvergenceError.
     """
     pexp = PExponent.of(p)
     N = _check_index(N, 2, "reconstruct_check", "N")
     n = _check_index(n, 0, "reconstruct_check", "n", stop=N)
-    cfg = config or DEFAULT_CONFIG
-    col = build_truncated_operator(pexp, N, config).column(n)
+    col = build_truncated_operator(pexp, N).column(n)
     direct = np.zeros(N)
     if n == 0:
         direct[0] = 1.0
@@ -207,12 +204,12 @@ def reconstruct_check(p, n: int, N: int, config: EvalConfig | None = None) -> fl
         f = w * fast_trig(pexp.p).cos_scaled(n * x)
         for k in range(N):
             name = f"reconstruct_check coefficient {k}"
-            value, _ = halved_sum(f * np.cos(k * math.pi * x), nc, cfg.rel_tol, name)
+            value, _ = halved_sum(f * np.cos(k * math.pi * x), nc, _REL_TOL, name)
             direct[k] = value if k == 0 else 2.0 * value
     return float(np.max(np.abs(col - direct)))
 
 
-def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None = None):
+def expand_in_pcosine(fhat: CosineVector, p, N: int):
     """Solve the truncated system A c = fhat for p-cosine coordinates.
 
     fhat is read at its first N entries: a shorter vector is padded with
@@ -232,14 +229,14 @@ def expand_in_pcosine(fhat: CosineVector, p, N: int, config: EvalConfig | None =
     rhs = np.zeros(N)
     take = min(N, len(fhat))
     rhs[:take] = fhat.coeffs[:take]
-    b1 = _odd_coeffs(pexp, KIND_COSINE, 1, 1, config)[0][0]
+    b1 = _odd_coeffs(pexp, KIND_COSINE, 1, 1)[0][0]
     if abs(b1) < 1e-8:
         raise ConvergenceError(
             f"truncated operator is numerically singular: |b_1| = {abs(b1):.3e}"
         )
     if N == 1:
         return CosineVector(rhs), 0.0
-    op = build_truncated_operator(pexp, N, config)
+    op = build_truncated_operator(pexp, N)
     acc, starts = rhs.copy(), op.starts.tolist()
     for n in range(1, (N - 1) // 3 + 1):  # n < N/3
         below = slice(starts[n] + 1, starts[n + 1])  # column n without its diagonal

@@ -1,17 +1,16 @@
 """Command-line front end with machine-readable JSON/CSV output.
 
 Every subcommand emits OutputRecord objects: command name, parameters,
-results, the evaluation config in force, and an ISO-8601 timestamp.  For
-reproducible runs the timestamp honours the SOURCE_DATE_EPOCH convention
-(and a --timestamp override); identical invocations then produce
-byte-identical output.  Exit codes: 0 success, 2 domain/validation
-error, 3 numerical failure.
+results and an ISO-8601 timestamp.  For reproducible runs the timestamp
+honours the SOURCE_DATE_EPOCH convention (and a --timestamp override);
+identical invocations then produce byte-identical output.  Exit codes:
+0 success, 2 domain/validation error, 3 numerical failure, 141 when the
+reader of stdout closes it early (128 + SIGPIPE, as a shell reports).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -21,12 +20,12 @@ import numpy as np
 
 from . import basis_operator as bop
 from . import core, fourier, regularity, thresholds
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 P0_REFERENCE = (1.458801, 5e-6)
 P1_REFERENCE = (2.42865, 5e-5)
@@ -53,14 +52,8 @@ def _timestamp(override: str | None) -> str:
     return datetime.now(tz=timezone.utc).isoformat()
 
 
-def _record(command, params, results, cfg, stamp):
-    return {
-        "command": command,
-        "params": params,
-        "results": results,
-        "config": dataclasses.asdict(cfg),
-        "timestamp": stamp,
-    }
+def _record(command, params, results, stamp):
+    return {"command": command, "params": params, "results": results, "timestamp": stamp}
 
 
 def _emit_json(records, out):
@@ -90,6 +83,7 @@ def _write(records, args):
             _emit_json(records, stream)
         else:
             _emit_csv(records, stream)
+        stream.flush()  # a closed pipe raises here, inside main, not at exit
     finally:
         if args.out:
             stream.close()
@@ -117,9 +111,9 @@ _EVAL_FNS = {
 }
 
 
-def _cmd_eval(args, cfg, stamp):
+def _cmd_eval(args, stamp):
     xs = _grid(args)
-    values = getattr(core, _EVAL_FNS[args.fn])(xs, args.p, cfg)
+    values = getattr(core, _EVAL_FNS[args.fn])(xs, args.p)
     records = []
     for x, value in zip(xs, values):
         params = {"fn": args.fn, "p": args.p, "x": float(x)}
@@ -127,7 +121,7 @@ def _cmd_eval(args, cfg, stamp):
             results = {"value_re": float(value.real), "value_im": float(value.imag)}
         else:
             results = {"value": float(value)}
-        records.append(_record("eval", params, results, cfg, stamp))
+        records.append(_record("eval", params, results, stamp))
     return records
 
 
@@ -146,20 +140,20 @@ def _bound_for(kind, p, j):
         return ""
 
 
-def _cmd_coeffs(args, cfg, stamp):
+def _cmd_coeffs(args, stamp):
     kind = fourier.KIND_COSINE if args.kind == "cosine" else fourier.KIND_SINE
-    table = fourier.coeff_table(args.p, args.jmax, kind, cfg)
+    table = fourier.coeff_table(args.p, args.jmax, kind)
     records = []
     for j in sorted(table.entries):
         value, err = table.entries[j]
         params = {"kind": args.kind, "p": args.p, "j": j}
         results = {"value": value, "err_est": err, "bound": _bound_for(kind, float(args.p), j)}
-        records.append(_record("coeffs", params, results, cfg, stamp))
+        records.append(_record("coeffs", params, results, stamp))
     return records
 
 
-def _cmd_criterion(args, cfg, stamp):
-    report = fourier.basis_criterion(args.p, J=args.J, config=cfg)
+def _cmd_criterion(args, stamp):
+    report = fourier.basis_criterion(args.p, J=args.J)
     results = {
         "b1": report.b1,
         "tail_computed": report.tail_computed,
@@ -168,10 +162,10 @@ def _cmd_criterion(args, cfg, stamp):
         "margin": report.margin,
         "holds": report.holds,
     }
-    return [_record("criterion", {"p": args.p, "J": args.J}, results, cfg, stamp)]
+    return [_record("criterion", {"p": args.p, "J": args.J}, results, stamp)]
 
 
-def _cmd_thresholds(args, cfg, stamp):
+def _cmd_thresholds(args, stamp):
     records = []
     for name, solver, (ref, window) in (
         ("p0", thresholds.solve_lower_threshold, P0_REFERENCE),
@@ -188,32 +182,32 @@ def _cmd_thresholds(args, cfg, stamp):
             "within_reference": abs(result.root - ref) < window,
             "trace": list(result.trace) if args.format == "json" else len(result.trace),
         }
-        records.append(_record("thresholds", {"name": name}, results, cfg, stamp))
+        records.append(_record("thresholds", {"name": name}, results, stamp))
     return records
 
 
-def _cmd_regularity(args, cfg, stamp):
-    report = regularity.regularity_report(args.p, args.rho, args.J, cfg)
+def _cmd_regularity(args, stamp):
+    report = regularity.regularity_report(args.p, args.rho, args.J)
     results = {
         "partial_sum": report.partial_sum,
         "slope_estimate": report.slope_estimate,
         "r_threshold": report.r_threshold if report.r_threshold is not None else "",
     }
     params = {"p": args.p, "rho": args.rho, "J": args.J}
-    return [_record("regularity", params, results, cfg, stamp)]
+    return [_record("regularity", params, results, stamp)]
 
 
-def _cmd_operator(args, cfg, stamp):
+def _cmd_operator(args, stamp):
     params = {"p": args.p, "N": args.N, "action": args.action}
     if args.action == "build":
-        entries = bop.build_truncated_operator(args.p, args.N, cfg).entries
+        entries = bop.build_truncated_operator(args.p, args.N).entries
         return [
-            _record("operator", {**params, "k": k, "n": n}, {"value": entries[k, n]}, cfg, stamp)
+            _record("operator", {**params, "k": k, "n": n}, {"value": entries[k, n]}, stamp)
             for k, n in sorted(entries)
         ]
     if args.action == "reconstruct":
-        dev = bop.reconstruct_check(args.p, args.n, args.N, cfg)
-        return [_record("operator", {**params, "n": args.n}, {"max_abs_dev": dev}, cfg, stamp)]
+        dev = bop.reconstruct_check(args.p, args.n, args.N)
+        return [_record("operator", {**params, "n": args.n}, {"max_abs_dev": dev}, stamp)]
     if args.vector is None:
         raise DomainError("operator expand requires --vector with comma-separated coefficients")
     try:
@@ -225,11 +219,11 @@ def _cmd_operator(args, cfg, stamp):
             f"operator --vector has {len(vector)} coefficients, more than N = {args.N}"
         )
     fhat = bop.CosineVector(np.array(vector))
-    coeffs, residual = bop.expand_in_pcosine(fhat, args.p, args.N, cfg)
+    coeffs, residual = bop.expand_in_pcosine(fhat, args.p, args.N)
     results = {"coeffs": list(coeffs.coeffs), "residual": residual}
     if args.format == "csv":
         results["coeffs"] = " ".join(_fmt(c) for c in coeffs.coeffs)
-    return [_record("operator", params, results, cfg, stamp)]
+    return [_record("operator", params, results, stamp)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--tol", type=float, default=None, help="relative tolerance (default 1e-12)")
     common.add_argument("--timestamp", default=None, help="fixed ISO-8601 timestamp")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -288,11 +281,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = DEFAULT_CONFIG if args.tol is None else EvalConfig(rel_tol=args.tol)
         if hasattr(args, "p"):
             core.PExponent.of(args.p)
         stamp = _timestamp(args.timestamp)
-        records = args.func(args, cfg, stamp)
+        records = args.func(args, stamp)
         _write(records, args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
@@ -300,6 +292,11 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return EXIT_OK
 
 

@@ -28,11 +28,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import ConvergenceError, DomainError
 
 _EPS = float(np.finfo(float).eps)
 _BLOCK = 1 << 15  # elements of one tanh-sinh row block: a few arrays of it stay in cache
+_REL_TOL = 1e-12  # the one accuracy target: tanh-sinh refinement and coefficient estimates
 _ABS_TOL = 1e-14  # absolute part of the quadrature and inversion residual tests
 _QUAD_LEVELS = 12  # tanh-sinh refinement levels before ConvergenceError
 _NEWTON_ITERS = 60  # safeguarded Newton steps before ConvergenceError
@@ -256,7 +256,7 @@ def _cos_from_y(y, p):
 # ---------------------------------------------------------------------------
 
 
-def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=None):
+def invert_quarter(u, pexp: PExponent, seed=None):
     """Solve F_p(y) = u for u in [0, pi_p/2] by safeguarded Newton.
 
     The initial guess is `seed` (an array shaped like u, clipped to
@@ -306,10 +306,9 @@ def invert_quarter(u, pexp: PExponent, config: EvalConfig | None = None, seed=No
     done |= at0 | at1
     collapsed = np.zeros(u.shape, dtype=bool)
     r_prev = np.full_like(u, np.inf)
-    qrel = max((config or DEFAULT_CONFIG).rel_tol / 20.0, 4.0 * _EPS)
 
     def residual(idx, yl):
-        F, Ferr = _incomplete_F_batch(yl, pexp, qrel, _ABS_TOL / 10.0)
+        F, Ferr = _incomplete_F_batch(yl, pexp, _REL_TOL / 20.0, _ABS_TOL / 10.0)
         r = F - u[idx]
         tol = np.maximum(_ABS_TOL + 8.0 * _EPS * u[idx], 4.0 * Ferr)
         return r, np.abs(r) <= tol
@@ -401,7 +400,7 @@ def _scalar_or_array(values, scalar):
     return float(values[0]) if scalar else values
 
 
-def incomplete_F(y, p, config: EvalConfig | None = None):
+def incomplete_F(y, p):
     """F_p(y) = int_0^y (1 - t^p)^(-1/p) dt for y in [0, 1].
 
     Monotone increasing with F_p(0) = 0 and F_p(1) = pi_p/2; the endpoint
@@ -412,11 +411,11 @@ def incomplete_F(y, p, config: EvalConfig | None = None):
     bad = arr[~((arr >= 0.0) & (arr <= 1.0))]
     if bad.size:
         raise DomainError(f"incomplete_F requires 0 <= y <= 1, got {float(bad[0])!r}")
-    vals, _ = _incomplete_F_batch(arr, pexp, (config or DEFAULT_CONFIG).rel_tol, _ABS_TOL)
+    vals, _ = _incomplete_F_batch(arr, pexp, _REL_TOL, _ABS_TOL)
     return _scalar_or_array(vals, scalar)
 
 
-def _invert(u, pexp: PExponent, config: EvalConfig | None):
+def _invert(u, pexp: PExponent):
     """invert_quarter started from the cached table of p, wherever one can be built.
 
     Whether to seed depends on p alone, so a result is bitwise independent
@@ -429,10 +428,10 @@ def _invert(u, pexp: PExponent, config: EvalConfig | None):
         seed = fast_trig(pexp.p)._quarter_sin(t)
     except ConvergenceError:  # p above 2^53, refused before any series is built
         seed = None
-    return invert_quarter(u, pexp, config, seed)
+    return invert_quarter(u, pexp, seed)
 
 
-def _reduce_and_invert(x, pexp: PExponent, config: EvalConfig | None, name: str):
+def _reduce_and_invert(x, pexp: PExponent, name: str):
     """|sin_p(x)| with the sine and cosine signs of x's quadrant.
 
     Returns (y, sin_sign, cos_sign, scalar); non-finite x is rejected.
@@ -441,24 +440,24 @@ def _reduce_and_invert(x, pexp: PExponent, config: EvalConfig | None, name: str)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} requires finite arguments")
     t, s_sign, c_sign = reduce_argument(arr / pexp.pi_p)
-    return _invert(pexp.pi_p * t, pexp, config), s_sign, c_sign, scalar
+    return _invert(pexp.pi_p * t, pexp), s_sign, c_sign, scalar
 
 
-def sin_p(x, p, config: EvalConfig | None = None):
+def sin_p(x, p):
     """The p-sine: odd, 2*pi_p periodic, increasing on [0, pi_p/2]."""
     pexp = PExponent.of(p)
-    y, s_sign, _, scalar = _reduce_and_invert(x, pexp, config, "sin_p")
+    y, s_sign, _, scalar = _reduce_and_invert(x, pexp, "sin_p")
     return _scalar_or_array(s_sign * y, scalar)
 
 
-def cos_p(x, p, config: EvalConfig | None = None):
+def cos_p(x, p):
     """The p-cosine sign(quadrant) * (1 - |sin_p|^p)^(1/p); even, 2*pi_p periodic."""
     pexp = PExponent.of(p)
-    y, _, c_sign, scalar = _reduce_and_invert(x, pexp, config, "cos_p")
+    y, _, c_sign, scalar = _reduce_and_invert(x, pexp, "cos_p")
     return _scalar_or_array(c_sign * _cos_from_y(y, pexp.p), scalar)
 
 
-def dcos_p(x, p, config: EvalConfig | None = None):
+def dcos_p(x, p):
     """Derivative of cos_p on the first quarter period [0, pi_p/2].
 
     Equals -sin_p(x)^(p-1) * cos_p(x)^(2-p).  For p > 2 the second factor
@@ -469,7 +468,7 @@ def dcos_p(x, p, config: EvalConfig | None = None):
     arr, scalar = _as_batch(x)
     if np.any(arr < -1e-15) or np.any(arr > pexp.quarter * (1.0 + 1e-13)):
         raise DomainError("dcos_p requires x in the first quarter period")
-    y = _invert(np.clip(arr, 0.0, pexp.quarter), pexp, config)
+    y = _invert(np.clip(arr, 0.0, pexp.quarter), pexp)
     c = _cos_from_y(y, pexp.p)
     with np.errstate(divide="ignore", over="ignore"):
         vals = -(y ** (pexp.p - 1.0)) * c ** (2.0 - pexp.p)
@@ -478,7 +477,7 @@ def dcos_p(x, p, config: EvalConfig | None = None):
     return _scalar_or_array(vals, scalar)
 
 
-def d2cos_p(x, p, config: EvalConfig | None = None):
+def d2cos_p(x, p):
     """Second derivative of cos_p, strictly inside (0, pi_p/2).
 
     Equals sin_p^(p-2) * cos_p^(3-2p) * (2 - p - cos_p^p); the sign change
@@ -495,7 +494,7 @@ def d2cos_p(x, p, config: EvalConfig | None = None):
     p = pexp.p
     if p == 2.0:  # where sin_p rounds to 1 the product below is inf * 0
         return _scalar_or_array(-np.cos(arr), scalar)
-    y = _invert(arr, pexp, config)
+    y = _invert(arr, pexp)
     L = _log_one_minus_pow(y, 1.0 - y, p)  # log(1 - y^p) = p log cos_p
     c = np.exp(L / p)
     with np.errstate(divide="ignore", over="ignore"):
@@ -523,17 +522,17 @@ def large_p_bracket(p: float) -> float:
     return 2.0 + 0.5 * math.pi * math.pi * (p - 2.0)
 
 
-def m_p(p: float, config: EvalConfig | None = None) -> float:
+def m_p(p: float) -> float:
     """Unique point in (0, 1/2) where cos_p(pi_p m)^p = 2 - p, for 1 < p < 2.
 
     There sin_p(pi_p m)^p = p - 1, so m = F_p((p-1)^(1/p)) / pi_p in
     closed form; the rescaled derivative attains its minimum -c_p there.
     """
     pexp = PExponent(check_exponent(p, "m_p", 1.0, 2.0))
-    return incomplete_F((pexp.p - 1.0) ** (1.0 / pexp.p), pexp, config) / pexp.pi_p
+    return incomplete_F((pexp.p - 1.0) ** (1.0 / pexp.p), pexp) / pexp.pi_p
 
 
-def u_p(x, p: float, config: EvalConfig | None = None):
+def u_p(x, p: float):
     """Rescaled derivative -sin_p(pi_p x)^(p-1) cos_p(pi_p x)^(2-p) on [0, 1/2].
 
     Defined for 1 < p < 2; nonpositive, vanishing exactly at 0 and 1/2,
@@ -543,10 +542,10 @@ def u_p(x, p: float, config: EvalConfig | None = None):
     arr, scalar = _as_batch(x)
     if np.any(arr < 0.0) or np.any(arr > 0.5):
         raise DomainError("u_p requires 0 <= x <= 1/2")
-    return _scalar_or_array(dcos_p(pexp.pi_p * arr, pexp, config), scalar)
+    return _scalar_or_array(dcos_p(pexp.pi_p * arr, pexp), scalar)
 
 
-def v_p(x, p: float, config: EvalConfig | None = None):
+def v_p(x, p: float):
     """Conjugate-side weight (p'-1) sin_p'(pi_p' x)^(p'-2) cos_p'(pi_p' x).
 
     Defined for p > 2 on (0, 1/2]; positive, strictly decreasing, zero at
@@ -557,15 +556,15 @@ def v_p(x, p: float, config: EvalConfig | None = None):
     if np.any(arr <= 0.0) or np.any(arr > 0.5):
         raise DomainError("v_p requires 0 < x <= 1/2 (diverges at 0)")
     q = conj.p
-    y = _invert(conj.pi_p * arr, conj, config)
+    y = _invert(conj.pi_p * arr, conj)
     c = _cos_from_y(y, q)
     vals = (q - 1.0) * y ** (q - 2.0) * c
     return _scalar_or_array(vals, scalar)
 
 
-def exp_p(y, p, config: EvalConfig | None = None):
+def exp_p(y, p):
     """cos_p(y) + i sin_p(y); the modulus identity |Re|^p + |Im|^p = 1 holds."""
     pexp = PExponent.of(p)
-    s, s_sign, c_sign, scalar = _reduce_and_invert(y, pexp, config, "exp_p")
+    s, s_sign, c_sign, scalar = _reduce_and_invert(y, pexp, "exp_p")
     vals = c_sign * _cos_from_y(s, pexp.p) + 1j * (s_sign * s)
     return complex(vals[0]) if scalar else vals

@@ -40,8 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._fast_eval import fast_trig
-from .config import DEFAULT_CONFIG, EvalConfig
-from .core import PExponent, c_p, check_exponent, large_p_bracket, pi_p
+from .core import _REL_TOL, PExponent, c_p, check_exponent, large_p_bracket, pi_p
 from .errors import ConvergenceError, DomainError
 from .quadrature import GAUSS_OFFSETS, graded_grid, halved_sum, uniform_runs
 from .thresholds import odd_reciprocal_sum
@@ -193,13 +192,12 @@ def _check_index(j, first: int, name: str, var: str = "j", stop=None, odd: bool 
     raise DomainError(f"{name} requires an {'odd ' if odd else ''}integer {bounds}, got {j!r}")
 
 
-def _odd_coeffs(pexp: PExponent, kind: str, lo: int, hi: int, config: EvalConfig | None):
+def _odd_coeffs(pexp: PExponent, kind: str, lo: int, hi: int):
     """Values and error estimates of the odd coefficients lo <= j <= hi.
 
-    lo is odd.  The values come from the cosine banks whatever the config,
-    the sine kind's scaled by pi_p/(j pi); an error estimate above
-    config.rel_tol (or NaN) raises ConvergenceError.  p = 2 reads the
-    classical table.
+    lo is odd.  The values come from the cosine banks, the sine kind's
+    scaled by pi_p/(j pi); an error estimate above _REL_TOL = 1e-12 (or
+    NaN) raises ConvergenceError.  p = 2 reads the classical table.
     """
     if pexp.p == 2.0:
         values = (np.arange(lo, hi + 1, 2) == 1).astype(float)
@@ -214,58 +212,57 @@ def _odd_coeffs(pexp: PExponent, kind: str, lo: int, hi: int, config: EvalConfig
     if kind == KIND_SINE:
         scale = pexp.pi_p / (np.arange(lo, hi + 1, 2) * PI)
         values, errs = values * scale, errs * scale
-    cfg = config or DEFAULT_CONFIG
-    bad = np.flatnonzero(~(errs <= cfg.rel_tol))
+    bad = np.flatnonzero(~(errs <= _REL_TOL))
     if bad.size:
         i = bad[0]
         raise ConvergenceError(
             f"{'b' if kind == KIND_COSINE else 'a'}_{lo + 2 * i} at p={pexp.p!r}: "
-            f"quadrature error estimate {errs[i]:.3e} exceeds rel_tol {cfg.rel_tol:.3e}"
+            f"quadrature error estimate {errs[i]:.3e} exceeds rel_tol {_REL_TOL:.3e}"
         )
     return values, errs
 
 
-def _coeff(p, j, kind: str, config: EvalConfig | None, name: str, first: int):
+def _coeff(p, j, kind: str, name: str, first: int):
     """(value, err_est) of one coefficient, read from its bank."""
     pexp = PExponent.of(p)
     j = _check_index(j, first, name)
     if j % 2 == 0:
         return 0.0, 0.0
-    values, errs = _odd_coeffs(pexp, kind, j, j, config)
+    values, errs = _odd_coeffs(pexp, kind, j, j)
     return float(values[0]), float(errs[0])
 
 
-def cosine_coeff(p, j: int, config: EvalConfig | None = None):
+def cosine_coeff(p, j: int):
     """Cosine coefficient b_j(p) = 2 int_0^1 cos_p(pi_p x) cos(j pi x) dx.
 
     Even j (including j = 0) vanish by the antisymmetry of cos_p(pi_p x)
     about x = 1/2 and are returned exactly; p = 2 short-circuits to the
     classical table.  Returns (value, err_est).
     """
-    return _coeff(p, j, KIND_COSINE, config, "cosine_coeff", 0)
+    return _coeff(p, j, KIND_COSINE, "cosine_coeff", 0)
 
 
-def sine_coeff(p, j: int, config: EvalConfig | None = None):
+def sine_coeff(p, j: int):
     """Sine coefficient a_j(p) = 2 int_0^1 sin_p(pi_p x) sin(j pi x) dx.
 
     Even j vanish exactly; p = 2 short-circuits.  Returns (value, err_est).
     """
-    return _coeff(p, j, KIND_SINE, config, "sine_coeff", 1)
+    return _coeff(p, j, KIND_SINE, "sine_coeff", 1)
 
 
-def coeff_table(p, j_max: int, kind: str = KIND_COSINE, config: EvalConfig | None = None):
+def coeff_table(p, j_max: int, kind: str = KIND_COSINE):
     """Assemble a CoeffTable for 0 <= j <= j_max (sine tables start at 1)."""
     if kind not in (KIND_SINE, KIND_COSINE):
         raise DomainError(f"kind must be {KIND_SINE!r} or {KIND_COSINE!r}, got {kind!r}")
     j_max = _check_index(j_max, 1, "coeff_table", "j_max")
     pexp = PExponent.of(p)
-    values, errs = _odd_coeffs(pexp, kind, 1, j_max, config)
+    values, errs = _odd_coeffs(pexp, kind, 1, j_max)
     entries = {j: (0.0, 0.0) for j in range(0 if kind == KIND_COSINE else 1, j_max + 1)}
     entries.update(zip(range(1, j_max + 1, 2), zip(values.tolist(), errs.tolist())))
     return CoeffTable(p=pexp, kind=kind, entries=entries, j_max=j_max)
 
 
-def coeff_relation_check(p, j: int, config: EvalConfig | None = None) -> float:
+def coeff_relation_check(p, j: int) -> float:
     """Residual |b_j - (j pi/pi_p) a_j| from two independent quadratures.
 
     b_j is read from its cosine bank.  a_j is not derived from it: it is
@@ -274,10 +271,10 @@ def coeff_relation_check(p, j: int, config: EvalConfig | None = None) -> float:
     """
     pexp = PExponent.of(p)
     j = _check_index(j, 1, "coeff_relation_check", odd=True)
-    b, _ = cosine_coeff(pexp, j, config)
+    b, _ = cosine_coeff(pexp, j)
     x, w, nc = _tier_grid(_tier(j)[1])
     weighted = 4.0 * w * fast_trig(pexp.p).sin_scaled(x) * np.sin(j * PI * x)
-    a, _ = halved_sum(weighted, nc, (config or DEFAULT_CONFIG).rel_tol, f"a_{j} at p={pexp.p!r}")
+    a, _ = halved_sum(weighted, nc, _REL_TOL, f"a_{j} at p={pexp.p!r}")
     return abs(b - (j * PI / pexp.pi_p) * a)
 
 
@@ -300,23 +297,23 @@ def cosine_bound_large_p(p: float, j: int) -> float:
     return _large_p_prefactor(p) * float(j) ** (-(p / (p - 1.0)))
 
 
-def _worst_slack(bound, kind: str, p, first: int, J, config: EvalConfig | None, name: str):
+def _worst_slack(bound, kind: str, p, first: int, J, name: str):
     """min over odd first <= j <= J of bound(p, j) minus the coefficient's
     modulus; name is the public check, for the DomainError on a bad J."""
     J = _check_index(J, first, name, "J")
     bounds = [bound(p, j) for j in range(first, J + 1, 2)]
-    values, _ = _odd_coeffs(PExponent.of(p), kind, first, J, config)
+    values, _ = _odd_coeffs(PExponent.of(p), kind, first, J)
     return min(b - abs(v) for b, v in zip(bounds, values.tolist()))
 
 
-def bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:
+def bound_check_small_p(p: float, J: int) -> float:
     """Worst slack (bound - |b_j|) over odd j <= J for 1 < p < 2."""
-    return _worst_slack(cosine_bound_small_p, KIND_COSINE, p, 1, J, config, "bound_check_small_p")
+    return _worst_slack(cosine_bound_small_p, KIND_COSINE, p, 1, J, "bound_check_small_p")
 
 
-def bound_check_large_p(p: float, J: int, config: EvalConfig | None = None) -> float:
+def bound_check_large_p(p: float, J: int) -> float:
     """Worst slack (bound - |b_j|) over odd 3 <= j <= J for p > 2."""
-    return _worst_slack(cosine_bound_large_p, KIND_COSINE, p, 3, J, config, "bound_check_large_p")
+    return _worst_slack(cosine_bound_large_p, KIND_COSINE, p, 3, J, "bound_check_large_p")
 
 
 def _odd_partial_sum(q: float, J: int) -> float:
@@ -344,7 +341,7 @@ def tail_remainder_bound(p: float, J: int) -> float:
     return _large_p_prefactor(p) * max(tail, 0.0)
 
 
-def basis_criterion(p, J: int = 999, config: EvalConfig | None = None) -> CriterionReport:
+def basis_criterion(p, J: int = 999) -> CriterionReport:
     """Evaluate the truncated basis criterion with a certified remainder.
 
     tail_computed sums |b_j| over odd 3 <= j <= J from quadrature, the
@@ -356,7 +353,7 @@ def basis_criterion(p, J: int = 999, config: EvalConfig | None = None) -> Criter
     """
     pexp = PExponent.of(p)
     J = _check_index(J, 3, "basis_criterion", "J", odd=True)
-    values, errs = _odd_coeffs(pexp, KIND_COSINE, 1, J, config)
+    values, errs = _odd_coeffs(pexp, KIND_COSINE, 1, J)
     b1 = float(values[0])
     tail = float(np.sum(np.abs(values[1:])))
     quadrature_err = float(np.sum(errs))
@@ -374,7 +371,7 @@ def basis_criterion(p, J: int = 999, config: EvalConfig | None = None) -> Criter
     )
 
 
-def compare_bounds(p: float, J: int = 199, config: EvalConfig | None = None):
+def compare_bounds(p: float, J: int = 199):
     """Tail and first-coefficient bounds of this implementation versus the
     earlier dilation-operator estimates, together with computed values.
 
@@ -388,7 +385,7 @@ def compare_bounds(p: float, J: int = 199, config: EvalConfig | None = None):
     if p == 2.0:
         raise DomainError("compare_bounds requires p != 2 (pick a branch)")
     pip = pi_p(p)
-    report = basis_criterion(p, J=J if J % 2 == 1 else J - 1, config=config)
+    report = basis_criterion(p, J=J if J % 2 == 1 else J - 1)
     rows = [("b1_computed", report.b1), ("tail_computed", report.tail_computed)]
     # two-branch prior lower bound for the first coefficient
     p_star = (72.0 * (PI - 2.0) - 2.0 * PI**3) / (96.0 * (PI - 2.0) - 3.0 * PI**3)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EvalConfig
 from .core import PExponent, c_p, check_exponent, large_p_bracket, pi_p
 from .errors import ConvergenceError, DomainError, InsufficientCoefficients
 from .fourier import KIND_SINE, _check_index, _odd_coeffs, _worst_slack
@@ -43,7 +42,7 @@ class RegularityReport:
     r_threshold: float | None
 
 
-def sobolev_partial(p, rho: float, J: int, config: EvalConfig | None = None) -> float:
+def sobolev_partial(p, rho: float, J: int) -> float:
     """Partial sum of (1 + j^2)^rho a_j^2 over odd j <= J.
 
     A sum beyond the largest double raises ConvergenceError.
@@ -51,7 +50,7 @@ def sobolev_partial(p, rho: float, J: int, config: EvalConfig | None = None) -> 
     if not 0.0 <= rho < math.inf:
         raise DomainError(f"sobolev_partial requires a finite rho >= 0, got {rho!r}")
     J = _check_index(J, 1, "sobolev_partial", "J")
-    a, _ = _odd_coeffs(PExponent.of(p), KIND_SINE, 1, J, config)
+    a, _ = _odd_coeffs(PExponent.of(p), KIND_SINE, 1, J)
     js = np.arange(1, J + 1, 2, dtype=float)
     with np.errstate(over="ignore"):
         total = float(np.sum((1.0 + js * js) ** rho * a * a))
@@ -76,17 +75,17 @@ def sine_bound_large_p(p: float, j: int) -> float:
     return pref * large_p_bracket(p) * float(j) ** (-(conj + 1.0))
 
 
-def sine_bound_check_small_p(p: float, J: int, config: EvalConfig | None = None) -> float:
+def sine_bound_check_small_p(p: float, J: int) -> float:
     """Worst slack (bound - |a_j|) over odd j <= J for 1 < p < 2."""
-    return _worst_slack(sine_bound_small_p, KIND_SINE, p, 1, J, config, "sine_bound_check_small_p")
+    return _worst_slack(sine_bound_small_p, KIND_SINE, p, 1, J, "sine_bound_check_small_p")
 
 
-def sine_bound_check_large_p(p: float, J: int, config: EvalConfig | None = None) -> float:
+def sine_bound_check_large_p(p: float, J: int) -> float:
     """Worst slack (bound - |a_j|) over odd 3 <= j <= J for p > 2."""
-    return _worst_slack(sine_bound_large_p, KIND_SINE, p, 3, J, config, "sine_bound_check_large_p")
+    return _worst_slack(sine_bound_large_p, KIND_SINE, p, 3, J, "sine_bound_check_large_p")
 
 
-def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:
+def decay_slope(p, Jmax: int) -> float:
     """Least-squares slope of log|a_j| against log j over odd j in [11, Jmax].
 
     Coefficients at or below the 1e-13 noise floor are excluded; fewer
@@ -95,7 +94,7 @@ def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:
     """
     Jmax = _check_index(Jmax, 51, "decay_slope", "Jmax")
     pexp = PExponent.of(p)
-    a, _ = _odd_coeffs(pexp, KIND_SINE, 11, Jmax, config)
+    a, _ = _odd_coeffs(pexp, KIND_SINE, 11, Jmax)
     js = np.arange(11, Jmax + 1, 2, dtype=float)
     usable = np.abs(a) > NOISE_FLOOR
     if usable.sum() < _MIN_FIT_POINTS:
@@ -106,13 +105,13 @@ def decay_slope(p, Jmax: int, config: EvalConfig | None = None) -> float:
     return float(slope)
 
 
-def regularity_report(p, rho: float, J: int, config: EvalConfig | None = None) -> RegularityReport:
+def regularity_report(p, rho: float, J: int) -> RegularityReport:
     """Bundle the weighted partial sum, decay slope, and threshold order."""
     pexp = PExponent.of(p)
     J = _check_index(J, 1, "regularity_report", "J")
-    partial = sobolev_partial(pexp, rho, J, config)
+    partial = sobolev_partial(pexp, rho, J)
     try:
-        slope = decay_slope(pexp, max(J, 51), config)
+        slope = decay_slope(pexp, max(J, 51))
     except InsufficientCoefficients:
         slope = math.nan
     threshold = pexp.p_conj + 0.5 if pexp.p > 2.0 else None

@@ -1,6 +1,5 @@
 """Core p-trigonometric evaluation: examples, identities, symmetries."""
 
-import dataclasses
 import math
 import warnings
 
@@ -13,7 +12,6 @@ import ptrig.core as core
 from ptrig import (
     ConvergenceError,
     DomainError,
-    EvalConfig,
     PExponent,
     c_p,
     cos_p,
@@ -63,22 +61,6 @@ class TestPExponent:
         lhs = pe.p_conj * pi_p(pe.p_conj)
         rhs = pe.p * pe.pi_p
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-class TestEvalConfig:
-    def test_defaults(self):
-        cfg = EvalConfig()
-        assert cfg.rel_tol == 1e-12
-        assert [f.name for f in dataclasses.fields(cfg)] == ["rel_tol"]
-
-    def test_validation(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError, match="rel_tol must be positive and finite"):
-                EvalConfig(rel_tol=bad)
-        # the absolute tolerance and the iteration caps are constants of core
-        for name in ("abs_tol", "max_newton_iters", "quad_levels"):
-            with pytest.raises(TypeError):
-                EvalConfig(**{name: 12})
 
 
 class TestPiP:
@@ -842,7 +824,6 @@ def _reference_invert_quarter(u, pexp, seed=None):
     other rule (start, bracket, residual test, collapse, halving to two
     adjacent doubles, nearer end) is the one invert_quarter keeps.
     """
-    cfg = core.DEFAULT_CONFIG
     eps = core._EPS
     u = np.asarray(u, dtype=float)
     u_star = pexp.quarter
@@ -861,7 +842,7 @@ def _reference_invert_quarter(u, pexp, seed=None):
     done = at0 | at1
     collapsed = np.zeros(u.shape, dtype=bool)
     r_prev = np.full_like(u, np.inf)
-    qrel = max(cfg.rel_tol / 20.0, 4.0 * eps)
+    qrel = core._REL_TOL / 20.0
     qabs = core._ABS_TOL / 10.0
 
     def residual(idx, yl):

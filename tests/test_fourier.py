@@ -10,7 +10,6 @@ from ptrig import (
     KIND_SINE,
     ConvergenceError,
     DomainError,
-    EvalConfig,
     PExponent,
     basis_criterion,
     bound_check_large_p,
@@ -286,7 +285,7 @@ class TestBankAgainstDirectSum:
         if kind == KIND_COSINE:
             bank_values, bank_errs = _coeff_quadrature(p, js)
         else:
-            bank_values, bank_errs = _odd_coeffs(PExponent.of(p), kind, js[0], js[-1], None)
+            bank_values, bank_errs = _odd_coeffs(PExponent.of(p), kind, js[0], js[-1])
         assert np.max(np.abs(bank_values - values)) < 4e-16
         assert np.max(np.abs(bank_errs - errs)) < 2e-15
 
@@ -344,17 +343,20 @@ class TestCoefficientBank:
             _clear_coefficient_caches()
             warm()
             assert [cosine_coeff(p, j) for j in self.JS] == cold
-        _clear_coefficient_caches()
-        assert [cosine_coeff(p, j, config=EvalConfig()) for j in self.JS] == cold
 
-    def test_estimate_above_tolerance_raises(self):
-        strict = EvalConfig(rel_tol=1e-18)
-        for name, coeff in (("b", cosine_coeff), ("a", sine_coeff)):
-            j = next(j for j in range(1, 100, 2) if coeff(1.5, j)[1] > 1e-18)
-            with pytest.raises(ConvergenceError, match=rf"{name}_{j} at p=1\.5"):
-                coeff(1.5, j, config=strict)
+    def test_estimate_above_tolerance_raises(self, monkeypatch):
+        # a real input: a_j = pi_p b_j/(j pi) scales the bank's error by pi_p ~ 2/(p - 1)
+        with pytest.raises(ConvergenceError, match=r"a_1 at p=1\.000001: .* rel_tol 1\.000e-12"):
+            sine_coeff(1.000001, 1)
+        kinds = (("b", cosine_coeff), ("a", sine_coeff))
+        first = {name: next(j for j in range(1, 100, 2) if coeff(1.5, j)[1] > 1e-18)
+                 for name, coeff in kinds}
+        monkeypatch.setattr(fourier, "_REL_TOL", 1e-18)
+        for name, coeff in kinds:
+            with pytest.raises(ConvergenceError, match=rf"{name}_{first[name]} at p=1\.5"):
+                coeff(1.5, first[name])
         with pytest.raises(ConvergenceError):
-            basis_criterion(1.5, 99, config=strict)
+            basis_criterion(1.5, 99)
 
 
 class TestBasisCriterion:
