@@ -6,11 +6,10 @@ builds, once per exponent, the table
 
     S_p(t) = sin_p(pi_p t),   t in [0, t_d(p)],
 
-for p and for its conjugate p' (a table is kept per exponent while an
-evaluator holds it, so fast_trig(p) and fast_trig(p') share theirs).
-t_d(p) is the p-diagonal, where sin_p^p = cos_p^p = 1/2, and
-t_d(p) + t_d(p') = 1/2.  The quarter period splits there: above it, the
-upper part is mapped to the lower part of the conjugate exponent via
+for p and for its conjugate p'.  t_d(p) is the p-diagonal, where
+sin_p^p = cos_p^p = 1/2, and t_d(p) + t_d(p') = 1/2.  The quarter period
+splits there: above it, the upper part is mapped to the lower part of the
+conjugate exponent via
 
     sin_p(pi_p t)  = (1 - s^p')^(1/p),   cos_p(pi_p t) = s^(p'-1),
     s = sin_p'(pi_p' (1/2 - t)),
@@ -20,18 +19,16 @@ and below it cos_p = (1 - y^p)^(1/p) with y = S_p(t).  Either side forms
 is the power series of sin_p in w = u^p, found by series reversion: its
 coefficients follow from y' = (1 - y^p)^(1/p) by Miller's recurrence for
 powers of a series, and it must reach double precision at t_d(p), or the
-table is refused (ConvergenceError).  Construction checks each series at
-33 points against the integral it inverts, F_p(y) = pi_p t summed as a
-series of positive terms, and refuses a table that misses it: a check
-independent of the series and of core's Newton inversion, which the
+table is refused (ConvergenceError).  Each table checks its series when
+built, at 33 points against the integral it inverts, F_p(y) = pi_p t
+summed as a series of positive terms, and is refused if it misses it: a
+check independent of the series and of core's Newton inversion, which the
 public functions start from these tables.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +39,8 @@ from .errors import ConvergenceError, DomainError
 _TERMS = 64  # most power series terms per exponent
 _TAIL = 8  # trailing terms that must be negligible where the series serves
 _TOL = 2.0**-46  # relative residual of F_q(y) = pi_q t that a table must meet
+# where a table is checked, as fractions of t_d: 33 golden-ratio points
+_PROBE = np.mod(0.5 * (math.sqrt(5.0) - 1.0) * np.arange(1, 34), 1.0)
 
 
 def _series(p: float, w_top: float) -> np.ndarray:
@@ -52,38 +51,32 @@ def _series(p: float, w_top: float) -> np.ndarray:
     e_m = d_m / (mp + 1) for d = (1 - w k)^(1/p).  Both powers come from
     J. C. P. Miller's recurrence for a power of a power series (Knuth,
     TAOCP Vol. 2, 4.7), each d_m and k_m from the terms before it.  The
-    recurrence stops once the series passes `_converged` at w_top; if it
-    has not after _TERMS terms, ConvergenceError.  `_converged` is only
-    tried once the last _TAIL terms each pass its tail rule with slack, a
-    weaker test, so the stopping n is the same.
+    recurrence stops once the series serves w_top: its last _TAIL terms
+    e_m w_top^m are each at most 2^-60 of the first (which is 1), and the
+    absolute sum of all its terms is at most 4 (an inf or NaN term fails
+    both).  If it has not after _TERMS terms, ConvergenceError.
     """
     e, k, d = (np.zeros(_TERMS) for _ in range(3))
     e[0] = k[0] = d[0] = 1.0
     j = np.arange(1.0, _TERMS)
     with np.errstate(over="ignore"):  # an inf power fails the test below
         w_pow = w_top ** np.arange(_TERMS)
-    passing = 0
+    run, total = 0, 1.0  # the trailing terms at most 2^-60, the absolute sum
     for n in range(1, _TERMS):
         # Miller's weights (a + 1) j - n, as a j + (j - n) with j - n exact;
         # coefficient j of 1 - w k is -k_(j-1)
         d[n] = -np.dot((j[:n] / p + (j[:n] - n)) * k[:n], d[n - 1 :: -1]) / n
         e[n] = d[n] / (n * p + 1.0)
         k[n] = np.dot((j[:n] * p + (j[:n] - n)) * e[1 : n + 1], k[n - 1 :: -1]) / n
-        passing = passing + 1 if abs(e[n]) * w_pow[n] <= 2.0**-59 else 0
-        if passing >= _TAIL and _converged(e[: n + 1], w_top):
+        term = abs(e[n]) * w_pow[n]
+        total += term
+        run = run + 1 if term <= 2.0**-60 else 0
+        if run >= _TAIL and total <= 4.0:
             return e[: n + 1]
     raise ConvergenceError(
         f"fast evaluator tables refused: the series of p={p!r} does not reach "
         f"w={w_top!r} in {_TERMS} terms"
     )
-
-
-def _converged(e, w) -> bool:
-    """Whether the series serves w: its last _TAIL terms e_m w^m are below
-    2^-60 of the first (which is 1) and their absolute sum is at most 4."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN terms fail
-        terms = np.abs(e) * w ** np.arange(e.size)
-    return bool(terms[-_TAIL:].max() <= 2.0**-60 and terms.sum() <= 4.0)
 
 
 def _hyp2f1(b: float, z):
@@ -109,13 +102,29 @@ def _diagonal(pexp: PExponent) -> float:
 
 
 class _QuarterTable:
-    """sin_p(pi_p t) on [0, t_d(p)] by its power series."""
+    """sin_p(pi_p t) on [0, t_d(p)] by its power series, checked when built.
+
+    The check is against the integral the series inverts: at the _PROBE
+    points t of [0, t_d(p)], y = S_p(t) must meet |F_p(y) - pi_p t| <=
+    _TOL pi_p t, with F_p(y) = y 2F1(1/p, 1/p; 1 + 1/p; y^p) summed where
+    y^p <= 1/2 (NaN fails).  Since F_p' >= 1, the residual bounds
+    |y - sin_p(pi_p t)| there.  A table that misses it raises
+    ConvergenceError.
+    """
 
     def __init__(self, pexp: PExponent):
         self.p = pexp.p
         self.pi_p = pexp.pi_p
         self.t_d = _diagonal(pexp)
         self.series = _series(self.p, (self.pi_p * self.t_d) ** self.p)
+        t = _PROBE * self.t_d
+        y, u = self.eval(t), self.pi_p * t
+        z = y**self.p
+        if not (np.all(z <= 0.5)
+                and np.all(abs(y * _hyp2f1(1.0 / self.p, z) - u) <= _TOL * u)):
+            raise ConvergenceError(
+                f"fast evaluator table for p={self.p} failed validation"
+            )
 
     def eval(self, t):
         """sin_p(pi_p t) for t in [0, t_d(p)], by Horner in w = u^p."""
@@ -128,22 +137,6 @@ class _QuarterTable:
         return u * acc
 
 
-# the tables by exponent, held weakly: every live evaluator that reads the
-# table of an exponent reads one object, so fast_trig(p) and fast_trig(p')
-# share theirs whichever was evicted or built first
-_tables = weakref.WeakValueDictionary()
-_tables_lock = threading.Lock()
-
-
-def _quarter_table(p: float) -> _QuarterTable:
-    """The table of one exponent, shared by fast_trig(p) and fast_trig(p')."""
-    with _tables_lock:
-        table = _tables.get(p)
-        if table is None:
-            table = _tables[p] = _QuarterTable(PExponent(p))
-    return table
-
-
 class FastPTrig:
     """Vectorized sin_p(pi_p t), cos_p(pi_p t) for arbitrary real t."""
 
@@ -153,9 +146,8 @@ class FastPTrig:
             self.conj = self.pexp.conjugate
         except DomainError as exc:  # p above 2^53: no table for the upper part
             raise ConvergenceError(f"fast evaluator tables refused: {exc}") from None
-        self._own = _quarter_table(self.pexp.p)
-        self._dual = _quarter_table(self.conj.p)
-        self._validate()
+        self._own = _QuarterTable(self.pexp)
+        self._dual = _QuarterTable(self.conj)
 
     def _split(self, t):
         """(t, low): t as an array and the mask of t <= t_d(p), the own table's part."""
@@ -194,24 +186,6 @@ class FastPTrig:
             return self._quarter_cos(t)
         tq, _, c_sign = reduce_argument(t)
         return c_sign * self._quarter_cos(tq)
-
-    def _validate(self):
-        """Check each series against the integral it inverts: at 33
-        golden-ratio points t of [0, t_d(q)], y = S_q(t) must meet
-        |F_q(y) - pi_q t| <= _TOL pi_q t, with F_q(y) = y 2F1(1/q, 1/q;
-        1 + 1/q; y^q) summed where y^q <= 1/2 (NaN fails).  Since F_q' >= 1,
-        the residual bounds |y - sin_q(pi_q t)| there.
-        """
-        frac = np.mod(0.5 * (math.sqrt(5.0) - 1.0) * np.arange(1, 34), 1.0)
-        for table in (self._own, self._dual):
-            t = frac * table.t_d
-            y, u = table.eval(t), table.pi_p * t
-            z = y**table.p
-            if not (np.all(z <= 0.5)
-                    and np.all(abs(y * _hyp2f1(1.0 / table.p, z) - u) <= _TOL * u)):
-                raise ConvergenceError(
-                    f"fast evaluator tables for p={self.pexp.p} failed validation"
-                )
 
 
 @lru_cache(maxsize=64)

@@ -2,8 +2,8 @@
 
 Every subcommand emits OutputRecord objects: command name, parameters,
 results and an ISO-8601 timestamp.  For reproducible runs the timestamp
-honours the SOURCE_DATE_EPOCH convention (and a --timestamp override);
-identical invocations then produce byte-identical output.  Exit codes:
+honours the SOURCE_DATE_EPOCH convention; identical invocations then
+produce byte-identical output.  Exit codes:
 0 success, 2 domain/validation error, 3 numerical failure, 141 when the
 reader of stdout closes it early (128 + SIGPIPE, as a shell reports).
 """
@@ -11,6 +11,7 @@ reader of stdout closes it early (128 + SIGPIPE, as a shell reports).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -38,9 +39,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _timestamp(override: str | None) -> str:
-    if override:
-        return override
+def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
         try:
@@ -126,18 +125,24 @@ def _cmd_eval(args, stamp):
 
 
 def _bound_for(kind, p, j):
-    if p == 2.0 or j < 1:
-        return ""
+    """The decay bound of coefficient j, or "" where the bound does not
+    apply (p = 2, or j below the bound's first index)."""
+    if kind == fourier.KIND_COSINE:
+        bound = fourier.cosine_bound_large_p if p > 2.0 else fourier.cosine_bound_small_p
+    else:
+        bound = regularity.sine_bound_large_p if p > 2.0 else regularity.sine_bound_small_p
     try:
-        if kind == fourier.KIND_COSINE:
-            if p < 2.0:
-                return fourier.cosine_bound_small_p(p, j)
-            return fourier.cosine_bound_large_p(p, j) if j >= 3 else ""
-        if p < 2.0:
-            return regularity.sine_bound_small_p(p, j)
-        return regularity.sine_bound_large_p(p, j) if j >= 3 else ""
+        return bound(p, j)
     except DomainError:
         return ""
+
+
+def _report_record(command, report, params, stamp):
+    """One record of a report dataclass: its fields not already in params
+    are the results, with None written as ""."""
+    results = {k: "" if v is None else v
+               for k, v in dataclasses.asdict(report).items() if k not in params}
+    return _record(command, params, results, stamp)
 
 
 def _cmd_coeffs(args, stamp):
@@ -154,15 +159,7 @@ def _cmd_coeffs(args, stamp):
 
 def _cmd_criterion(args, stamp):
     report = fourier.basis_criterion(args.p, J=args.J)
-    results = {
-        "b1": report.b1,
-        "tail_computed": report.tail_computed,
-        "tail_remainder_bound": report.tail_remainder_bound,
-        "quadrature_err": report.quadrature_err,
-        "margin": report.margin,
-        "holds": report.holds,
-    }
-    return [_record("criterion", {"p": args.p, "J": args.J}, results, stamp)]
+    return [_report_record("criterion", report, {"p": args.p, "J": args.J}, stamp)]
 
 
 def _cmd_thresholds(args, stamp):
@@ -188,13 +185,8 @@ def _cmd_thresholds(args, stamp):
 
 def _cmd_regularity(args, stamp):
     report = regularity.regularity_report(args.p, args.rho, args.J)
-    results = {
-        "partial_sum": report.partial_sum,
-        "slope_estimate": report.slope_estimate,
-        "r_threshold": report.r_threshold if report.r_threshold is not None else "",
-    }
     params = {"p": args.p, "rho": args.rho, "J": args.J}
-    return [_record("regularity", params, results, stamp)]
+    return [_report_record("regularity", report, params, stamp)]
 
 
 def _cmd_operator(args, stamp):
@@ -235,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--timestamp", default=None, help="fixed ISO-8601 timestamp")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate a function on a grid")
@@ -283,7 +274,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "p"):
             core.PExponent.of(args.p)
-        stamp = _timestamp(args.timestamp)
+        stamp = _timestamp()
         records = args.func(args, stamp)
         _write(records, args)
     except DomainError as exc:

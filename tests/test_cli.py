@@ -15,6 +15,7 @@ import ptrig
 from ptrig.cli import EXIT_DOMAIN, EXIT_OK, main
 
 FIXED_STAMP = "2026-01-01T00:00:00+00:00"
+FIXED_EPOCH = "1767225600"  # FIXED_STAMP as SOURCE_DATE_EPOCH
 
 
 def run_cli(capsys, *argv):
@@ -36,13 +37,13 @@ def schema():
 
 
 class TestEval:
-    def test_sin_classical(self, capsys, schema):
-        code, out, _ = run_cli(
-            capsys, "eval", "sin_p", "--p", "2", "--x", "1.0", "--timestamp", FIXED_STAMP
-        )
+    def test_sin_classical(self, capsys, schema, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", FIXED_EPOCH)
+        code, out, _ = run_cli(capsys, "eval", "sin_p", "--p", "2", "--x", "1.0")
         assert code == EXIT_OK
         (rec,) = parse_ndjson(out)
         jsonschema.validate(rec, schema)
+        assert rec["timestamp"] == FIXED_STAMP
         assert rec["results"]["value"] == pytest.approx(0.8414709848078965, abs=1e-12)
 
     def test_cos_at_zero(self, capsys):
@@ -310,10 +311,14 @@ class TestReproducibility:
         assert out == ""
         assert "SOURCE_DATE_EPOCH requires an integer number of seconds, got 'abc'" in err
 
-    def test_timestamp_flag_wins(self, capsys):
-        _, out, _ = run_cli(capsys, "criterion", "--p", "2", "--timestamp", FIXED_STAMP)
-        (rec,) = parse_ndjson(out)
-        assert rec["timestamp"] == FIXED_STAMP
+    def test_timestamp_flag_is_usage_error(self, capsys):
+        # SOURCE_DATE_EPOCH is the one way to pin the timestamp
+        with pytest.raises(SystemExit) as exc:
+            main(["criterion", "--p", "2", "--timestamp", "not a time"])
+        assert exc.value.code == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --timestamp" in captured.err
 
     def test_csv_floats_roundtrip(self, capsys):
         _, out_csv, _ = run_cli(

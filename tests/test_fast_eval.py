@@ -7,10 +7,8 @@ residual of the hypergeometric quarter-period integral
 (`diagonal_residual`).
 """
 
-import copy
 import math
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -21,14 +19,6 @@ from conftest import diagonal_residual, incomplete_F_oracle, sin_p_oracle
 from ptrig import basis_criterion, pi_p, sin_p
 from ptrig.core import PExponent, invert_quarter, reduce_argument
 from ptrig.errors import ConvergenceError
-
-
-def _moved(table, change):
-    """A copy of table with its series coefficient e_1 changed."""
-    bad = copy.copy(table)
-    bad.series = table.series.copy()
-    bad.series[1] = change(bad.series[1])
-    return bad
 
 
 @pytest.mark.parametrize(
@@ -43,12 +33,18 @@ def _moved(table, change):
     "change", (lambda c: c + 1e-9, lambda c: np.nan), ids=("moved_1e-9", "nan")
 )
 def test_probe_refuses_a_wrong_table(cases, change, monkeypatch):
-    # the probe's Newton reference starts from the table, yet must not
-    # inherit the table's error
-    original = fe._quarter_table
+    # the series of exponent q comes out of _series with e_1 changed; the
+    # table's own check against the 2F1 integral must refuse it
+    original = fe._series
+
+    def moved(r, w_top):
+        e = original(r, w_top)
+        if r == q:
+            e[1] = change(e[1])
+        return e
+
     for p, q in cases:
-        bad = _moved(original(q), change)
-        monkeypatch.setattr(fe, "_quarter_table", lambda r: bad if r == q else original(r))
+        monkeypatch.setattr(fe, "_series", moved)
         with pytest.raises(ConvergenceError, match="failed validation"):
             fe.FastPTrig(p)
         monkeypatch.undo()
@@ -63,7 +59,6 @@ def test_tables_run_no_inversion(p, monkeypatch):
 
     monkeypatch.setattr(core, "invert_quarter", refuse)
     monkeypatch.setattr(core, "_incomplete_F_batch", refuse)
-    monkeypatch.setattr(fe, "_tables", weakref.WeakValueDictionary())  # build afresh
     fe.FastPTrig(p)
 
 
@@ -71,7 +66,7 @@ def test_tables_run_no_inversion(p, monkeypatch):
 def test_series_starts_with_the_closed_form_terms(p):
     # sin_p(u) = u - u^(p+1)/(p(p+1)) + s2 u^(2p+1) + ...; e_2 has a zero at
     # p = 1 + sqrt(2), near which neither form keeps its relative accuracy
-    e = fe._quarter_table(p).series
+    e = fe.FastPTrig(p)._own.series
     s1 = 1.0 / (p * (p + 1.0))
     s2 = (-p * p + 2.0 * p + 1.0) / (2.0 * p * p * (p + 1.0) * (2.0 * p + 1.0))
     assert e[0] == 1.0
@@ -80,7 +75,7 @@ def test_series_starts_with_the_closed_form_terms(p):
 
 
 def test_series_at_p2_is_the_taylor_series_of_sin():
-    table = fe._quarter_table(2.0)
+    table = fe.FastPTrig(2.0)._own
     m = np.arange(table.series.size)
     taylor = np.array([(-1.0) ** k / math.factorial(2 * k + 1) for k in m])
     u = np.pi / 4.0  # t = 1/4
@@ -143,6 +138,28 @@ def test_dual_table_above_one_warns_of_nothing(p):
         assert abs(sin_p(1.0, p) - sin_p_oracle(1.0, p)) <= 1e-12
 
 
+# (own, dual) series lengths, measured before the stopping rule became one
+# running test: the stopping term must not move
+SERIES_LENGTHS = {
+    1.0 + 2.0**-52: (25, 9),
+    1.0001: (25, 33),
+    1.1: (24, 45),
+    1.5: (21, 36),
+    2.0: (17, 17),
+    2.41: (33, 28),
+    3.0: (36, 21),
+    10.0: (45, 24),
+    1e3: (39, 25),
+    2.0**53: (9, 25),
+}
+
+
+@pytest.mark.parametrize("p", SERIES_LENGTHS)
+def test_series_lengths(p):
+    trig = fe.FastPTrig(p)
+    assert (trig._own.series.size, trig._dual.series.size) == SERIES_LENGTHS[p]
+
+
 def test_a_series_that_does_not_reach_the_diagonal_is_refused(monkeypatch):
     monkeypatch.setattr(fe, "_TERMS", 12)  # p = 1.1 needs 24
     with pytest.raises(ConvergenceError, match="does not reach"):
@@ -183,11 +200,11 @@ def test_cosines_near_p_one_are_finite():
 
 @pytest.mark.parametrize("p", (1.0001, 1.01, 1.1, 1.46, 2.0, 3.0, 10.0, 21.5))
 def test_diagonals_of_conjugates_sum_to_one_half(p):
-    # the pair is one set of tables whichever exponent asks first
+    # the pair's tables are the same whichever exponent builds them
     pe = PExponent(p)
     own, dual = fe.FastPTrig(p), fe.FastPTrig(pe.p_conj)
-    assert own._dual is dual._own
-    assert own._own is fe._quarter_table(p)
+    assert np.array_equal(own._dual.series, dual._own.series)
+    assert own._dual.t_d == dual._own.t_d
     assert abs(own._own.t_d + dual._own.t_d - 0.5) <= 2.0 * np.spacing(0.5)
     # sin_p^p = 1/2 there: pi_p t_d = F_p(2^(-1/p)), by the incomplete beta
     assert own._own.t_d == pytest.approx(incomplete_F_oracle(0.5 ** (1.0 / p), p) / pe.pi_p,

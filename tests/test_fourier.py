@@ -25,7 +25,7 @@ from ptrig import (
     tail_remainder_bound,
 )
 from ptrig import fourier
-from ptrig._fast_eval import _tables, fast_trig
+from ptrig._fast_eval import fast_trig
 from ptrig.fourier import (
     _coeff_quadrature,
     _odd_coeffs,
@@ -324,7 +324,6 @@ class TestBankEstimatesAreHonest:
 def _clear_coefficient_caches():
     fourier._coeff_cached.cache_clear()
     fast_trig.cache_clear()
-    _tables.clear()
 
 
 class TestCoefficientBank:

@@ -19,8 +19,9 @@ tree, and its count-unit per-layer metrics (counters such as
 
 The output file holds, per workload, each run's three end-to-end metrics,
 its round-0 digest and its failure count, each side's traced counts, and
-for each side its commit and the sha256 of its src/ (as run.py reports
-it).  A summary per workload gives each metric's median on both sides,
+for each side its commit, the sha256 of its src/ (as run.py reports
+it) and the number of lines of the Python files under its src/
+(`src_lines`).  A summary per workload gives each metric's median on both sides,
 the parent/change ratio of the medians, in how many pairs the change was
 lower, whether every pair's round-0 digests were equal, whether the
 two sides' traced counts were equal (`counts_equal`) and, for each count
@@ -69,6 +70,11 @@ def git(*argv) -> bytes:
 def export(rev: str, dest: Path) -> None:
     """Extract the committed tree of rev into dest."""
     subprocess.run(["tar", "-x", "-C", str(dest)], input=git("archive", rev), check=True)
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python files under tree's src/, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 class RunFailed(Exception):
@@ -169,6 +175,7 @@ def main(argv=None) -> int:
         parent_tree = Path(tmp)
         export(parent_commit, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         try:
             for workload, n in args.pairs.items():
                 pairs, traced = [], {}
@@ -201,8 +208,10 @@ def main(argv=None) -> int:
                      for pair in record["pairs"] if side in pair), None)
 
     report = {
-        "parent": {"commit": parent_commit, "src_sha256": sha("parent")},
-        "change": {"commit": change_commit, "src_dirty": dirty, "src_sha256": sha("change")},
+        "parent": {"commit": parent_commit, "src_sha256": sha("parent"),
+                   "src_lines": lines["parent"]},
+        "change": {"commit": change_commit, "src_dirty": dirty, "src_sha256": sha("change"),
+                   "src_lines": lines["change"]},
         "seed": args.seed,
         "seconds": args.seconds,
         "environment": {k: v for k, v in (environment or {}).items()
