@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._fast_eval import fast_trig
-from .core import _REL_TOL, PExponent
+from .core import _REL_TOL, PExponent, _real
 from .errors import ConvergenceError, DomainError
 from .fourier import KIND_COSINE, _check_index, _odd_coeffs
 from .quadrature import graded_grid, halved_sum, integrate_panels
@@ -147,7 +147,7 @@ def isometry_check(g, n: int, s: float) -> float:
     a norm ||g||_s^s beyond the largest double, raises ConvergenceError.
     """
     n = _check_index(n, 1, "isometry_check", "n")
-    if not 1.0 < s < math.inf:
+    if not 1.0 < _real(s) < math.inf:
         raise DomainError(f"isometry_check requires a finite s > 1, got {s!r}")
     scale = float(np.max(np.abs(g(graded_grid([0.0, 1.0], 1.0)[0]))))
     if scale == 0.0:

@@ -127,10 +127,7 @@ def _cmd_eval(args, stamp):
 def _bound_for(kind, p, j):
     """The decay bound of coefficient j, or "" where the bound does not
     apply (p = 2, or j below the bound's first index)."""
-    if kind == fourier.KIND_COSINE:
-        bound = fourier.cosine_bound_large_p if p > 2.0 else fourier.cosine_bound_small_p
-    else:
-        bound = regularity.sine_bound_large_p if p > 2.0 else regularity.sine_bound_small_p
+    bound = fourier.cosine_bound if kind == fourier.KIND_COSINE else regularity.sine_bound
     try:
         return bound(p, j)
     except DomainError:

@@ -38,16 +38,22 @@ _QUAD_LEVELS = 12  # tanh-sinh refinement levels before ConvergenceError
 _NEWTON_ITERS = 60  # safeguarded Newton steps before ConvergenceError
 
 
+def _real(x) -> float:
+    """x as a float if it is a real number (not a bool or a str), NaN otherwise;
+    an int beyond the float range reads as inf."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:
+        return math.inf
+
+
 def check_exponent(p, name: str, lo: float = 1.0, hi: float = math.inf, var: str = "p") -> float:
     """p as a float, if it is a finite real number (not bool or str) with lo < p < hi.
 
     Otherwise raises DomainError naming the caller and its range, e.g.
     "v_p requires p > 2".
     """
-    try:
-        value = float(p) if isinstance(p, numbers.Real) and not isinstance(p, bool) else math.nan
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
+    value = _real(p)
     if not (math.isfinite(value) and lo < value < hi):
         bounds = f"{var} > {lo:g}" if hi == math.inf else f"{lo:g} < {var} < {hi:g}"
         raise DomainError(
@@ -520,6 +526,24 @@ def c_p(p: float) -> float:
 def large_p_bracket(p: float) -> float:
     """The paper's bracket 2 + pi^2 (p - 2)/2 in the bounds for p > 2."""
     return 2.0 + 0.5 * math.pi * math.pi * (p - 2.0)
+
+
+def decay_bound(p, name: str = "decay_bound"):
+    """(C, q, first) of the paper's decay bound |b_j| <= C j^-q, j >= first:
+
+        C = 8 pi_p c_p / pi^2,                              q = 2,  first = 1   (1 < p < 2)
+        C = 2 pi_p' (2 + pi^2 (p-2)/2) / (pi^2 (p-1)),      q = p', first = 3   (p > 2)
+
+    p = 2, where only b_1 is nonzero, has no bound: DomainError names the
+    caller, as an invalid p does.
+    """
+    p = check_exponent(p, name)
+    if p == 2.0:
+        raise DomainError(f"{name} requires p != 2, where only b_1 is nonzero; got {p!r}")
+    if p < 2.0:
+        return 8.0 * pi_p(p) * c_p(p) / (math.pi * math.pi), 2.0, 1
+    conj = p / (p - 1.0)
+    return 2.0 * pi_p(conj) / (math.pi * math.pi * (p - 1.0)) * large_p_bracket(p), conj, 3
 
 
 def m_p(p: float) -> float:

@@ -18,17 +18,16 @@ Odd a_j need no quadrature of their own: d/dx sin_p(pi_p x) =
 pi_p cos_p(pi_p x) and sin_p(pi_p) = 0, so integrating by parts gives
 a_j = pi_p b_j / (j pi) exactly, and value and estimate are scaled alike.
 
-The decay bounds
-
-    |b_j| < 8 pi_p c_p / (j^2 pi^2)                       (1 < p < 2)
-    |b_j| < 2 pi_p' / (pi^2 (p-1)) (2 + pi^2 (p-2)/2) j^-p'   (p > 2, j >= 3)
-
-turn the truncated tail of the basis criterion
+The paper's decay bound |b_j| <= C j^-q (core.decay_bound: q = 2 for
+1 < p < 2, q = p' and j >= 3 for p > 2) turns the truncated tail of the
+basis criterion
 
     sum over odd j >= 3 of |b_j|  <  |b_1|
 
-into a certified remainder: the part beyond the truncation index is
-dominated by 1/(2(J-1)) (small p) or by an odd partial zeta sum (large p).
+into a certified remainder: the part beyond the truncation index J is at
+most C times the odd sum of j^-q beyond J, enclosed by 1/(2(J-1)) (small
+p) or an odd zeta sum minus its partial sum (large p).  cosine_bound
+states the bound at one index.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._fast_eval import fast_trig
-from .core import _REL_TOL, PExponent, c_p, check_exponent, large_p_bracket, pi_p
+from .core import _REL_TOL, PExponent, check_exponent, decay_bound, large_p_bracket, pi_p
 from .errors import ConvergenceError, DomainError
 from .quadrature import GAUSS_OFFSETS, graded_grid, halved_sum, uniform_runs
 from .thresholds import odd_reciprocal_sum
@@ -117,13 +116,12 @@ def _tier_grid(last: int):
     return x, w, nc
 
 
-def _coeff_quadrature(p: float, j):
-    """(value, err_est) of odd cosine coefficients b_j by the tier quadrature.
+def _coeff_quadrature(p: float, last: int):
+    """(values, err_ests) of the odd cosine coefficients b_j of the tier
+    ending at last, by the tier quadrature.
 
-    j is an odd int or an array of odd indices from one tier.  The whole
-    tier is computed from fresh samples of cos_p(pi_p x), with no cache
-    and no p = 2 shortcut, so a coefficient comes out the same whichever
-    indices are asked for alongside it.
+    The tier is computed from fresh samples of cos_p(pi_p x), with no
+    cache and no p = 2 shortcut.
 
     On the uniform panels of each grid (panel r spanning (k + r + [0, 1])
     h/k, see `uniform_runs`), node q of panel r contributes phase
@@ -145,8 +143,7 @@ def _coeff_quadrature(p: float, j):
     a bound on the rounding of the FFT and moment sums, which the gap alone
     falls below.
     """
-    js = np.asarray(j)
-    first, last = _tier(js.max())
+    first = _tier(last)[0]
     h = 0.5 / (last + 1)
     x, w, nc = _tier_grid(last)
     f = w * fast_trig(float(p)).cos_scaled(x)
@@ -168,14 +165,13 @@ def _coeff_quadrature(p: float, j):
         )
     values = 4.0 * sums[:, 1]
     rounding = 4.0 * np.finfo(float).eps * np.abs(f[nc:]).sum()
-    pick = (js - first) // 2
-    return values[pick], (np.abs(values - 4.0 * sums[:, 0]) + rounding)[pick]
+    return values, np.abs(values - 4.0 * sums[:, 0]) + rounding
 
 
 @lru_cache(maxsize=1024)
 def _coeff_cached(p: float, last: int):
     """The bank of one tier: values and error estimates of its odd b_j."""
-    return _coeff_quadrature(p, np.arange(_tier(last)[0], last + 1, 2))
+    return _coeff_quadrature(p, last)
 
 
 def _check_index(j, first: int, name: str, var: str = "j", stop=None, odd: bool = False) -> int:
@@ -278,28 +274,20 @@ def coeff_relation_check(p, j: int) -> float:
     return abs(b - (j * PI / pexp.pi_p) * a)
 
 
-def cosine_bound_small_p(p: float, j: int) -> float:
-    """Decay bound 8 pi_p c_p / (j^2 pi^2) for 1 < p < 2, all j >= 1."""
-    p = check_exponent(p, "cosine_bound_small_p", 1.0, 2.0)
-    j = _check_index(j, 1, "cosine_bound_small_p")
-    return 8.0 * pi_p(p) * c_p(p) / (j * j * PI * PI)
+def cosine_bound(p, j: int, name: str = "cosine_bound") -> float:
+    """The paper's decay bound C j^-q on |b_j|, for j >= first (see
+    core.decay_bound, which also refuses p = 2); name is the caller, for
+    the DomainError."""
+    C, q, first = decay_bound(p, name)
+    return C * float(_check_index(j, first, name)) ** (-q)
 
 
-def _large_p_prefactor(p: float) -> float:
-    conj = p / (p - 1.0)
-    return 2.0 * pi_p(conj) / (PI * PI * (p - 1.0)) * large_p_bracket(p)
-
-
-def cosine_bound_large_p(p: float, j: int) -> float:
-    """Decay bound C(p) j^-p' for p > 2, odd j >= 3."""
-    p = check_exponent(p, "cosine_bound_large_p", 2.0)
-    j = _check_index(j, 3, "cosine_bound_large_p")
-    return _large_p_prefactor(p) * float(j) ** (-(p / (p - 1.0)))
-
-
-def _worst_slack(bound, kind: str, p, first: int, J, name: str):
+def _worst_slack(bound, kind: str, p, J, name: str, lo: float, hi: float = math.inf):
     """min over odd first <= j <= J of bound(p, j) minus the coefficient's
-    modulus; name is the public check, for the DomainError on a bad J."""
+    modulus, for lo < p < hi; name is the public check, for the DomainError
+    on a p outside that regime or a bad J."""
+    p = check_exponent(p, name, lo, hi)
+    first = decay_bound(p)[2]
     J = _check_index(J, first, name, "J")
     bounds = [bound(p, j) for j in range(first, J + 1, 2)]
     values, _ = _odd_coeffs(PExponent.of(p), kind, first, J)
@@ -308,37 +296,30 @@ def _worst_slack(bound, kind: str, p, first: int, J, name: str):
 
 def bound_check_small_p(p: float, J: int) -> float:
     """Worst slack (bound - |b_j|) over odd j <= J for 1 < p < 2."""
-    return _worst_slack(cosine_bound_small_p, KIND_COSINE, p, 1, J, "bound_check_small_p")
+    return _worst_slack(cosine_bound, KIND_COSINE, p, J, "bound_check_small_p", 1.0, 2.0)
 
 
 def bound_check_large_p(p: float, J: int) -> float:
     """Worst slack (bound - |b_j|) over odd 3 <= j <= J for p > 2."""
-    return _worst_slack(cosine_bound_large_p, KIND_COSINE, p, 3, J, "bound_check_large_p")
-
-
-def _odd_partial_sum(q: float, J: int) -> float:
-    """Sum of j^-q over odd 1 <= j <= J (fixed order, reproducible)."""
-    js = np.arange(1, J + 1, 2, dtype=float)
-    return float(np.sum(js ** (-q)))
+    return _worst_slack(cosine_bound, KIND_COSINE, p, J, "bound_check_large_p", 2.0)
 
 
 def tail_remainder_bound(p: float, J: int) -> float:
-    """Rigorous upper bound on the coefficient tail sum over odd j > J.
+    """Rigorous upper bound C sum_{odd j > J} j^-q on the coefficient tail.
 
-    For 1 < p < 2 the j^-2 decay bound is summed against the enclosure
-    sum_{odd j > J} j^-2 < 1/(2(J-1)); for p > 2 the j^-p' bound is summed
-    exactly via the odd zeta sum minus its partial sum.  p = 2 has a
-    single nonzero coefficient and returns 0.
+    For 1 < p < 2 (q = 2) the odd sum is enclosed by 1/(2(J-1)); for
+    p > 2 (q = p') it is the odd zeta sum minus its partial sum.  p = 2
+    has a single nonzero coefficient and returns 0.
     """
     p = check_exponent(p, "tail_remainder_bound")
     J = _check_index(J, 3, "tail_remainder_bound", "J", odd=True)
     if p == 2.0:
         return 0.0
+    C, q, _ = decay_bound(p)
     if p < 2.0:
-        return 8.0 * pi_p(p) * c_p(p) / (PI * PI) * (0.5 / (J - 1.0))
-    q = p / (p - 1.0)
-    tail = odd_reciprocal_sum(q) - _odd_partial_sum(q, J)
-    return _large_p_prefactor(p) * max(tail, 0.0)
+        return C * (0.5 / (J - 1.0))
+    partial = float(np.sum(np.arange(1, J + 1, 2, dtype=float) ** (-q)))
+    return C * max(odd_reciprocal_sum(q) - partial, 0.0)
 
 
 def basis_criterion(p, J: int = 999) -> CriterionReport:
@@ -380,10 +361,8 @@ def compare_bounds(p: float, J: int = 199):
     and for 2 <= p <= 3; first-coefficient bound sharper for p > 2) are
     re-checked and raise if violated.
     """
-    p = check_exponent(p, "compare_bounds")
+    C, q, _ = decay_bound(p, "compare_bounds")
     J = _check_index(J, 3, "compare_bounds", "J")
-    if p == 2.0:
-        raise DomainError("compare_bounds requires p != 2 (pick a branch)")
     pip = pi_p(p)
     report = basis_criterion(p, J=J if J % 2 == 1 else J - 1)
     rows = [("b1_computed", report.b1), ("tail_computed", report.tail_computed)]
@@ -398,7 +377,7 @@ def compare_bounds(p: float, J: int = 199):
             24.0 * (4.0 * p - 3.0)
         )
     if p < 2.0:
-        tail_new = pip * c_p(p) * (PI * PI - 8.0) / (PI * PI)
+        tail_new = C * (PI * PI / 8.0 - 1.0)
         tail_prior = pip * (PI * PI - 8.0) / (PI * PI)
         b1_new = PI / pip
         rows += [
@@ -410,13 +389,12 @@ def compare_bounds(p: float, J: int = 199):
         if tail_new > tail_prior:
             raise AssertionError("small-p tail bound failed to improve on prior work")
     else:
-        odd_tail = odd_reciprocal_sum(p / (p - 1.0)) - 1.0
+        odd_tail = odd_reciprocal_sum(q) - 1.0
         bracket_new = large_p_bracket(p)
         bracket_prior = 4.0 + PI * (p - 1.0)
-        common = 2.0 * pi_p(p / (p - 1.0)) / (PI * PI * (p - 1.0))
         rows += [
-            ("tail_bound_this_work", common * bracket_new * odd_tail),
-            ("tail_bound_prior", common * bracket_prior * odd_tail),
+            ("tail_bound_this_work", C * odd_tail),
+            ("tail_bound_prior", C / bracket_new * bracket_prior * odd_tail),
             ("bracket_this_work", bracket_new),
             ("bracket_prior", bracket_prior),
             ("b1_lower_this_work", 8.0 / (PI * pip)),

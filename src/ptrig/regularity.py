@@ -1,13 +1,10 @@
 """Sobolev-regularity diagnostics for the rescaled p-sine.
 
-The sine coefficients obey
-
-    |a_j| <= 16 pi_p^2 c_p / pi^3 * j^-3                       (1 < p < 2)
-    |a_j| <= 2 pi_p pi_p' / (pi^3 (p-1)) (2 + pi^2 (p-2)/2) j^-(p'+1)
-                                                               (p > 2, j >= 3)
-
-so sin_p(pi_p .) lies in the Sobolev space of every order below
-r(p) = p' + 1/2 when p > 2.  This module exposes the weighted partial
+The sine coefficients a_j = pi_p b_j / (j pi) inherit the decay bound
+C j^-q of core.decay_bound: sine_bound is pi_p C j^-(q+1) / pi for p > 2
+and j >= 3, and twice that for 1 < p < 2, as the paper states it there
+(16 pi_p^2 c_p j^-3 / pi^3).  So sin_p(pi_p .) lies in the Sobolev space
+of every order below r(p) = p' + 1/2 when p > 2.  This module exposes the weighted partial
 sums, slack checks for the two bounds, and a log-log decay-slope
 estimate over the computed coefficients.  Slope assertions downstream
 are one-sided: the upper bounds are proven, their sharpness is not.
@@ -20,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PExponent, c_p, check_exponent, large_p_bracket, pi_p
+from .core import PExponent, _real, pi_p
 from .errors import ConvergenceError, DomainError, InsufficientCoefficients
-from .fourier import KIND_SINE, _check_index, _odd_coeffs, _worst_slack
+from .fourier import KIND_SINE, _check_index, _odd_coeffs, _worst_slack, cosine_bound
 
 PI = math.pi
 
@@ -47,7 +44,7 @@ def sobolev_partial(p, rho: float, J: int) -> float:
 
     A sum beyond the largest double raises ConvergenceError.
     """
-    if not 0.0 <= rho < math.inf:
+    if not 0.0 <= _real(rho) < math.inf:
         raise DomainError(f"sobolev_partial requires a finite rho >= 0, got {rho!r}")
     J = _check_index(J, 1, "sobolev_partial", "J")
     a, _ = _odd_coeffs(PExponent.of(p), KIND_SINE, 1, J)
@@ -59,30 +56,21 @@ def sobolev_partial(p, rho: float, J: int) -> float:
     return total
 
 
-def sine_bound_small_p(p: float, j: int) -> float:
-    """Decay bound 16 pi_p^2 c_p / pi^3 * j^-3 for 1 < p < 2."""
-    p = check_exponent(p, "sine_bound_small_p", 1.0, 2.0)
-    j = _check_index(j, 1, "sine_bound_small_p")
-    return 16.0 * pi_p(p) ** 2 * c_p(p) / PI**3 / float(j) ** 3
-
-
-def sine_bound_large_p(p: float, j: int) -> float:
-    """Decay bound scaling like j^-(p'+1) for p > 2, odd j >= 3."""
-    p = check_exponent(p, "sine_bound_large_p", 2.0)
-    j = _check_index(j, 3, "sine_bound_large_p")
-    conj = p / (p - 1.0)
-    pref = 2.0 * pi_p(p) * pi_p(conj) / (PI**3 * (p - 1.0))
-    return pref * large_p_bracket(p) * float(j) ** (-(conj + 1.0))
+def sine_bound(p, j: int) -> float:
+    """Decay bound on |a_j|: the cosine bound times pi_p/(j pi), doubled
+    for 1 < p < 2, where the paper states 16 pi_p^2 c_p / pi^3 * j^-3."""
+    bound = cosine_bound(p, j, "sine_bound") * pi_p(p) / (j * PI)
+    return 2.0 * bound if p < 2.0 else bound
 
 
 def sine_bound_check_small_p(p: float, J: int) -> float:
     """Worst slack (bound - |a_j|) over odd j <= J for 1 < p < 2."""
-    return _worst_slack(sine_bound_small_p, KIND_SINE, p, 1, J, "sine_bound_check_small_p")
+    return _worst_slack(sine_bound, KIND_SINE, p, J, "sine_bound_check_small_p", 1.0, 2.0)
 
 
 def sine_bound_check_large_p(p: float, J: int) -> float:
     """Worst slack (bound - |a_j|) over odd 3 <= j <= J for p > 2."""
-    return _worst_slack(sine_bound_large_p, KIND_SINE, p, 3, J, "sine_bound_check_large_p")
+    return _worst_slack(sine_bound, KIND_SINE, p, J, "sine_bound_check_large_p", 2.0)
 
 
 def decay_slope(p, Jmax: int) -> float:

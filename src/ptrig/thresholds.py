@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import c_p, check_exponent, large_p_bracket, pi_p
+from .core import c_p, check_exponent, decay_bound, large_p_bracket, pi_p
 from .errors import BracketError, ConvergenceError
 
 PI = math.pi
@@ -117,29 +117,19 @@ def solve_lower_threshold() -> RootResult:
 def solve_upper_threshold() -> RootResult:
     """Root of h(p) = 1 inside (11/5, 3).
 
-    The unreduced form of the same equation,
-
-        2 pi_p' / (pi^2 (p-1)) * (2 + pi^2 (p-2)/2)
-            * ((1 - 2^-p') zeta(p') - 1)  =  8 / (pi pi_p),
-
-    is re-verified at the root to 1e-10; the two sides are linked by the
-    conjugate identity p' pi_p' = p pi_p.
+    The unreduced form of the same equation, the decay bound's tail
+    C (odd_reciprocal_sum(p') - 1) (C from core.decay_bound) equal to the
+    lower bound 8/(pi pi_p) on b_1, is re-verified at the root to 1e-10;
+    the two sides are linked by the conjugate identity p' pi_p' = p pi_p.
     """
 
     def f(p):
         return upper_threshold_lhs(p) - 1.0
 
     result = _solve_bracketed(f, *UPPER_BRACKET)
-    p = result.root
-    conj = p / (p - 1.0)
-    lhs = (
-        2.0
-        * pi_p(conj)
-        / (PI**2 * (p - 1.0))
-        * large_p_bracket(p)
-        * (odd_reciprocal_sum(conj) - 1.0)
-    )
-    rhs = 8.0 / (PI * pi_p(p))
+    C, q, _ = decay_bound(result.root)
+    lhs = C * (odd_reciprocal_sum(q) - 1.0)
+    rhs = 8.0 / (PI * pi_p(result.root))
     if abs(lhs - rhs) > 1e-10:
         raise ConvergenceError(
             f"unreduced threshold equation disagrees at the root: {lhs!r} vs {rhs!r}"

@@ -141,7 +141,7 @@ class TestCoeffs:
                 assert abs(float(cells[vi])) < float(cells[bi])
 
     def test_large_p_bound_uses_conjugate_power(self, capsys):
-        from ptrig.fourier import cosine_bound_large_p
+        from ptrig.fourier import cosine_bound
 
         code, out, _ = run_cli(capsys, "coeffs", "--p", "3", "--jmax", "9")
         recs = parse_ndjson(out)
@@ -149,7 +149,7 @@ class TestCoeffs:
             j = rec["params"]["j"]
             if j >= 3:
                 assert rec["results"]["bound"] == pytest.approx(
-                    cosine_bound_large_p(3.0, j), rel=1e-14
+                    cosine_bound(3.0, j), rel=1e-14
                 )
 
 

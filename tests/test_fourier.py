@@ -26,15 +26,11 @@ from ptrig import (
 )
 from ptrig import fourier
 from ptrig._fast_eval import fast_trig
-from ptrig.fourier import (
-    _coeff_quadrature,
-    _odd_coeffs,
-    cosine_bound_large_p,
-    cosine_bound_small_p,
-)
+from ptrig.core import decay_bound
+from ptrig.fourier import _coeff_quadrature, _odd_coeffs, cosine_bound
 from ptrig.quadrature import graded_grid
 
-from conftest import cosine_coeffs_fft, odd_sum_oracle
+from conftest import cosine_coeffs_fft, odd_sum_oracle, odd_tail_oracle
 
 PI = math.pi
 
@@ -47,10 +43,9 @@ class TestClassicalCase:
 
     def test_quadrature_path_matches(self):
         # bypass the shortcut: the oscillatory quadrature must agree
-        v1, e1 = _coeff_quadrature(2.0, 1)
-        assert abs(v1 - 1.0) < 1e-12
-        v3, _ = _coeff_quadrature(2.0, 3)
-        assert abs(v3) < 1e-10
+        values, _ = _coeff_quadrature(2.0, 127)
+        assert abs(values[0] - 1.0) < 1e-12
+        assert abs(values[1]) < 1e-10
 
 
 class TestParity:
@@ -101,7 +96,7 @@ class TestParity:
         (coeff_relation_check, (1.5, True)),
         (cosine_coeff, (1.5, True)),
         (sine_coeff, (1.5, True)),
-        (cosine_bound_small_p, (1.5, True)),
+        (cosine_bound, (1.5, True)),
     ],
     ids=lambda v: repr(v) if not callable(v) else v.__name__,
 )
@@ -122,7 +117,7 @@ class TestDecayBoundExamples:
             2.0 * pi_p(conj) / (PI**2 * 2.0) * (2.0 + 0.5 * PI**2) * 5.0 ** (-conj)
         )
         assert abs(value) < bound
-        assert cosine_bound_large_p(3.0, 5) == pytest.approx(bound, rel=1e-14)
+        assert cosine_bound(3.0, 5) == pytest.approx(bound, rel=1e-14)
 
     def test_first_sine_coefficient_small_p(self):
         # a_1 >= 1 for 1 < p < 2, equivalently b_1 >= pi/pi_p
@@ -283,7 +278,7 @@ class TestBankAgainstDirectSum:
     def test_every_odd_index_of_tier(self, p, kind, last):
         js, values, errs = self._direct(p, kind, last)
         if kind == KIND_COSINE:
-            bank_values, bank_errs = _coeff_quadrature(p, js)
+            bank_values, bank_errs = _coeff_quadrature(p, last)
         else:
             bank_values, bank_errs = _odd_coeffs(PExponent.of(p), kind, js[0], js[-1])
         assert np.max(np.abs(bank_values - values)) < 4e-16
@@ -313,12 +308,49 @@ class TestBankEstimatesAreHonest:
             for block in np.array_split(js, max(1, js.size // 32)):
                 weighted = f * np.cos(_exact_phase(block[:, None], x[nc:]))
                 refs += [4.0 * math.fsum(row) for row in weighted.tolist()]
-            value, err = _coeff_quadrature(p, js)
+            value, err = _coeff_quadrature(p, last)
             values.append(value)
             errs.append(err)
         deviation = np.abs(np.concatenate(values) - refs)
         assert np.all(deviation <= np.concatenate(errs))
         assert deviation[:500].sum() <= basis_criterion(p, 999).quadrature_err
+
+
+class TestParsevalOracle:
+    """Every bank against Parseval's identity, in closed form.
+
+    sum b_j^2 = 2 int_0^1 cos_p(pi_p x)^2 dx = (4/(p pi_p)) B(1/p, 1 + 1/p)
+    and sum a_j^2 = (4/(p pi_p)) B(3/p, 1 - 1/p), by the substitution
+    y = sin_p.  The banks' sum S over odd j <= 4095 falls short of the
+    closed form I by the tail beyond 4095, at most K^2 sum j^-2r for the
+    decay bound K j^-r, and is off by its quadrature and rounding errors.
+    The closed forms use only scipy's beta function and a pi_p computed
+    here, so they share no code with the banks or the tables.
+    """
+
+    LAST = 4095
+
+    @pytest.mark.parametrize("kind", (KIND_COSINE, KIND_SINE))
+    @pytest.mark.parametrize("p", (1.05, 1.1, 1.3, 1.46, 1.7, 1.95, 2.05, 2.41, 3.0, 10.0))
+    def test_sum_of_squares(self, p, kind):
+        from scipy.special import beta
+
+        # the smaller of the angles pi/p and pi/p', whose sines agree
+        pip = 2.0 * PI / (p * math.sin(min(PI / p, PI * (p - 1.0) / p)))
+        if kind == KIND_COSINE:
+            closed = 4.0 / (p * pip) * beta(1.0 / p, 1.0 + 1.0 / p)
+        else:
+            closed = 4.0 / (p * pip) * beta(3.0 / p, 1.0 - 1.0 / p)
+        values, errs = _odd_coeffs(PExponent(p), kind, 1, self.LAST)
+        gap = closed - float(np.sum(values * values))
+        # the decay bound K j^-r: the cosine's, or the sine's from it
+        C, q, _ = decay_bound(p)
+        K, r = C, q
+        if kind == KIND_SINE:
+            K, r = C * pip / PI * (2.0 if p < 2.0 else 1.0), q + 1.0
+        tail = K * K * odd_tail_oracle(2.0 * r, self.LAST)
+        tol = 8.0 * np.finfo(float).eps * closed + 2.0 * float(np.sum(np.abs(values) * errs))
+        assert -tol <= gap <= tail + tol
 
 
 def _clear_coefficient_caches():
@@ -405,15 +437,21 @@ class TestBoundChecks:
         assert bound_check_small_p(1.99, 49) > 0.0
 
     def test_bound_values(self):
-        assert cosine_bound_small_p(1.5, 3) == pytest.approx(
+        # p decides the regime: 1.5 gives j^-2, 2.5 the conjugate power
+        # j^-(5/3), and p = 2 (only b_1 nonzero) has no bound
+        assert cosine_bound(1.5, 3) == pytest.approx(
             8.0 * pi_p(1.5) * c_p(1.5) / (9.0 * PI**2), rel=1e-14
         )
+        assert cosine_bound(2.5, 3) == pytest.approx(
+            2.0 * pi_p(5.0 / 3.0) / (PI**2 * 1.5) * (2.0 + 0.25 * PI**2) * 3.0 ** (-5.0 / 3.0),
+            rel=1e-14,
+        )
+        with pytest.raises(DomainError, match="^cosine_bound requires p != 2"):
+            cosine_bound(2.0, 3)
         with pytest.raises(DomainError):
-            cosine_bound_small_p(2.5, 3)
+            cosine_bound(1.5, 0)
         with pytest.raises(DomainError):
-            cosine_bound_small_p(1.5, 0)
-        with pytest.raises(DomainError):
-            cosine_bound_large_p(3.0, 1)
+            cosine_bound(3.0, 1)
 
 
 class TestCompareBounds:

@@ -110,7 +110,8 @@ class TestIsometry:
             isometry_check(lambda x: x, 0, 2.0)
         with pytest.raises(DomainError):
             isometry_check(lambda x: x, 2, 1.0)
-        for s in (math.inf, math.nan):
+        # a str, None or bool is not a real s, as it is not a real p
+        for s in (math.inf, math.nan, "2", None, True):
             with pytest.raises(DomainError, match="requires a finite s > 1"):
                 isometry_check(np.cos, 2, s)
 

@@ -17,7 +17,7 @@ from ptrig import (
     sine_coeff,
     sobolev_partial,
 )
-from ptrig.regularity import sine_bound_large_p, sine_bound_small_p
+from ptrig.regularity import sine_bound
 
 PI = math.pi
 
@@ -63,7 +63,7 @@ class TestSobolevPartial:
         for j in (101, 301, 501):
             a, _ = sine_coeff(1.5, j)
             term = (1.0 + j * j) ** 2.4 * a * a
-            cap = (1.0 + j * j) ** 2.4 * sine_bound_small_p(1.5, j) ** 2
+            cap = (1.0 + j * j) ** 2.4 * sine_bound(1.5, j) ** 2
             assert term <= cap
 
     def test_monotone_in_J_and_rho(self):
@@ -75,9 +75,12 @@ class TestSobolevPartial:
             sobolev_partial(2.0, -1.0, 99)
         with pytest.raises(DomainError):
             sobolev_partial(2.0, 1.0, 0)
-        for rho in (math.inf, math.nan):
+        # a str, None or bool is not a real rho (True is not rho = 1)
+        for rho in (math.inf, math.nan, "1", None, True):
             with pytest.raises(DomainError, match="requires a finite rho >= 0"):
                 sobolev_partial(3.0, rho, 11)
+            with pytest.raises(DomainError, match="requires a finite rho >= 0"):
+                regularity_report(1.5, rho, 9)
 
     def test_overflow_raises(self):
         # (1 + 199^2)^200 is far beyond the largest double
@@ -101,7 +104,9 @@ class TestSineBounds:
             assert abs(sine_coeff(2.0, j)[0]) == 0.0
 
     def test_bound_formulas(self):
-        assert sine_bound_small_p(1.5, 3) == pytest.approx(
+        # p decides the regime: 1.5 gives the cubic bound, 3 and 2.5 the
+        # conjugate power, and p = 2 (only a_1 nonzero) has none
+        assert sine_bound(1.5, 3) == pytest.approx(
             16.0 * ptrig.pi_p(1.5) ** 2 * ptrig.c_p(1.5) / PI**3 / 27.0, rel=1e-14
         )
         expected = (
@@ -112,13 +117,18 @@ class TestSineBounds:
             * (2.0 + 0.5 * PI**2)
             * 5.0 ** (-2.5)
         )
-        assert sine_bound_large_p(3.0, 5) == pytest.approx(expected, rel=1e-14)
+        assert sine_bound(3.0, 5) == pytest.approx(expected, rel=1e-14)
+        assert sine_bound(2.5, 5) == pytest.approx(
+            2.0 * ptrig.pi_p(2.5) * ptrig.pi_p(5.0 / 3.0) / (PI**3 * 1.5)
+            * (2.0 + 0.25 * PI**2) * 5.0 ** (-8.0 / 3.0),
+            rel=1e-14,
+        )
+        with pytest.raises(DomainError, match="^sine_bound requires p != 2"):
+            sine_bound(2.0, 5)
         with pytest.raises(DomainError):
-            sine_bound_large_p(1.5, 5)
+            sine_bound(1.5, 0)
         with pytest.raises(DomainError):
-            sine_bound_small_p(1.5, 0)
-        with pytest.raises(DomainError):
-            sine_bound_large_p(3.0, 1)
+            sine_bound(3.0, 1)
 
     def test_termwise_domination_below_threshold(self):
         # for p > 2, rho < p' + 1/2: weighted terms are dominated by the
@@ -129,7 +139,7 @@ class TestSineBounds:
         for j in range(3, 500, 2):
             a, _ = sine_coeff(p, j)
             weight = (1.0 + j * j) ** rho
-            assert weight * a * a <= weight * sine_bound_large_p(p, j) ** 2
+            assert weight * a * a <= weight * sine_bound(p, j) ** 2
 
 
 class TestDecaySlope:

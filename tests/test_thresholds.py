@@ -20,6 +20,7 @@ from ptrig import (
     zeta,
     zeta_three_halves_sandwich,
 )
+from ptrig.core import decay_bound
 from ptrig.quadrature import integrate_panels
 
 from conftest import odd_sum_oracle, zeta_oracle
@@ -205,6 +206,19 @@ def test_bracket_is_adjacent_doubles(solve, f):
     assert result.residual == f(result.root)
     assert abs(result.residual) <= 1e-14
     assert result.iterations == len(result.trace)
+
+
+@pytest.mark.parametrize("solve", (solve_lower_threshold, solve_upper_threshold))
+def test_roots_satisfy_the_unreduced_criterion_equation(solve):
+    # each threshold is where the decay bound's tail C sum_{odd j >= 3} j^-q
+    # meets the lower bound on b_1: pi/pi_p below 2, 8/(pi pi_p) above
+    p = solve().root
+    C, q, _ = decay_bound(p)
+    if p < 2.0:
+        odd_tail, b1_lower = PI**2 / 8.0 - 1.0, PI / pi_p(p)
+    else:
+        odd_tail, b1_lower = odd_sum_oracle(q) - 1.0, 8.0 / (PI * pi_p(p))
+    assert C * odd_tail == pytest.approx(b1_lower, rel=1e-12)
 
 
 class TestZetaSandwich:
